@@ -4,8 +4,9 @@ Layers
 ------
 series     exact truncated power series in q and (x, q), Pochhammer products,
            triple products, bilateral theta sums
-counting   partition/overpartition counters: frequency-window DP, brute-force
-           oracle, congruence-side counters, recurrence verification
+counting   partition/overpartition counters: frequency-window DP (parts x
+           weight tables and weight-only totals), brute-force oracle,
+           congruence-side counters, recurrence verification
 gseries    the closed-form summand families and generating-function routes,
            their functional equations, and the x = 1 product evaluation
 harness    batch driver producing machine-readable CheckReports
@@ -22,6 +23,7 @@ from .counting import (
     count_mult,
     count_mult_brute,
     count_mult_total,
+    count_mult_totals,
     count_table,
     iter_freq_solutions,
     satisfies_mult_conditions,

@@ -2,9 +2,15 @@
 
 Two independent routes are provided for the multiplicity-side counters:
 
-* a frequency-window dynamic program over part values, which builds the whole
-  (parts, weight) table at once (the table is carried as one packed integer
-  per window state, so each transition is a single bigint shift-and-add);
+* a frequency-window dynamic program over part values, whose states carry
+  their counts as one packed integer each, so that a transition is a single
+  bigint shift-and-add.  It comes in two shapes over the same states and
+  transitions: the (parts, weight) table behind count_table / count_mult,
+  and a weight-only vector behind count_mult_totals / count_mult_total,
+  which the identities check reads and which needs no per-row masks.  The
+  slot width of both is derived, not assumed: every count at weight
+  n <= N is at most p(N) (p-bar(N) for overpartitions), rounded up to
+  whole bytes;
 * a brute-force enumerator that generates every (over)partition and applies
   the membership predicate directly - the slow cross-check oracle.
 
@@ -26,9 +32,6 @@ from .series import PowerSeries, DomainError, q_poch_inf, triple_product
 
 REGULAR = "regular"
 OVER = "over"
-
-_WORD = 64
-_ONES = (1 << _WORD) - 1
 
 
 @dataclass(frozen=True)
@@ -164,25 +167,48 @@ def satisfies_mult_conditions(sol: FreqSolution, cp: CountParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fast route: frequency-window DP with packed (parts, weight) tables
+# fast route: frequency-window DP over packed count vectors
 # ---------------------------------------------------------------------------
 
-_mask_cache: dict[tuple[int, int], int] = {}
+_width_cache: dict[tuple[str, int], int] = {}
+_mask_cache: dict[tuple[int, int, int], int] = {}
 _table_cache: dict[tuple[int, int, int, int, str], tuple[int, list[list[int]]]] = {}
+_totals_cache: dict[tuple[int, int, int, int, str], list[int]] = {}
 
 
-def _weight_mask(n_max: int, limit: int) -> int:
-    """All-ones words on slots (m, n) with n <= limit, for an (n_max+1)^2 grid."""
-    key = (n_max, limit)
+def _slot_bits(flavor: str, n_max: int) -> int:
+    """Slot width (bits, multiple of 8) that holds every DP count up to n_max.
+
+    Each slot of a DP state counts distinct partial (over)partitions of one
+    weight n <= n_max, and the states summed into one slot never count the
+    same one twice.  So every slot, partial or final, is at most p(n_max)
+    (p-bar(n_max), the coefficient of prod (1+q^v)/(1-q^v), for
+    overpartitions), and a slot this wide never carries into its neighbour.
+    """
+    key = (flavor, n_max)
+    got = _width_cache.get(key)
+    if got is None:
+        c = [1] + [0] * n_max
+        for v in range(1, n_max + 1):
+            if flavor == OVER:
+                for t in range(n_max, v - 1, -1):
+                    c[t] += c[t - v]
+            for t in range(v, n_max + 1):
+                c[t] += c[t - v]
+        got = _width_cache[key] = (max(c).bit_length() + 7) & ~7
+    return got
+
+
+def _weight_mask(n_max: int, limit: int, bits: int) -> int:
+    """All-ones slots (m, n) with n <= limit, for an (n_max+1)^2 grid."""
+    key = (n_max, limit, bits)
     got = _mask_cache.get(key)
     if got is None:
         stride = n_max + 1
-        row = 0
-        for n in range(limit + 1):
-            row |= _ONES << (_WORD * n)
+        row = (1 << (bits * (limit + 1))) - 1
         got = 0
         for m in range(stride):
-            got |= row << (_WORD * stride * m)
+            got |= row << (bits * stride * m)
         _mask_cache[key] = got
     return got
 
@@ -200,16 +226,17 @@ def _window_ok(k: int, d: int, a: int, s: int, prev: int, g: int, i: int, rho: i
     return True
 
 
-def _compute_table(cp: CountParams, n_max: int) -> list[list[int]]:
-    """Full table of counts by (number of parts, weight), both up to n_max."""
+def _window_dp(cp: CountParams, n_max: int, move) -> int:
+    """Run the frequency-window DP over part values 1..n_max.
+
+    States are (f_v + fbar_v, rho(v) mod d), each holding a packed vector of
+    counts; move(packed, p, w) returns the vector after p more parts of total
+    weight w (0 < w <= n_max), with whatever falls past n_max dropped.
+    Returns the sum of the vectors of the admissible final states.
+    """
     k, a, d, s = cp.k, cp.a, cp.d, cp.s
-    over = cp.is_over
-    stride = n_max + 1
-    if a <= 0:
-        return [[0] * stride for _ in range(stride)]
-    # states: (f_v + fbar_v, rho(v) mod d) -> packed (parts, weight) table
     states: dict[tuple[int, int], int] = {(0, 0): 1}
-    gbar_choices = (0, 1) if over else (0,)
+    gbar_choices = (0, 1) if cp.is_over else (0,)
     for v in range(1, n_max + 1):
         new_states: dict[tuple[int, int], int] = {}
         sign = 1 if v % 2 == 0 else -1
@@ -226,37 +253,57 @@ def _compute_table(cp: CountParams, n_max: int) -> list[list[int]]:
                     w = v * p
                     if w > n_max:
                         continue
-                    moved = packed if w == 0 else (
-                        (packed & _weight_mask(n_max, n_max - w))
-                        << (_WORD * (p * stride + w))
-                    )
+                    moved = move(packed, p, w) if w else packed
                     if not moved:
                         continue
                     key = (p, (rho + sign * gbar) % d)
                     new_states[key] = new_states.get(key, 0) + moved
         states = new_states
-    total = 0
-    for (prev, rho), packed in states.items():
-        if _window_ok(k, d, a, s, prev, 0, n_max, rho):
-            total += packed
-    raw = total.to_bytes(stride * stride * (_WORD // 8), "little")
-    nb = _WORD // 8
-    table = []
-    for m in range(stride):
-        base = m * stride * nb
-        table.append(
-            [
-                int.from_bytes(raw[base + n * nb : base + (n + 1) * nb], "little")
-                for n in range(stride)
-            ]
-        )
-    return table
+    return sum(
+        packed
+        for (prev, rho), packed in states.items()
+        if _window_ok(k, d, a, s, prev, 0, n_max, rho)
+    )
+
+
+def _unpack_slots(total: int, n_slots: int, bits: int) -> list[int]:
+    nb = bits // 8
+    raw = total.to_bytes(n_slots * nb, "little")
+    return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") for i in range(n_slots)]
+
+
+def _compute_table(cp: CountParams, n_max: int) -> list[list[int]]:
+    """Full table of counts by (number of parts, weight), both up to n_max.
+
+    Slot (m, n) of the packed vector sits at m * (n_max + 1) + n.
+    """
+    stride = n_max + 1
+    if cp.a <= 0:
+        return [[0] * stride for _ in range(stride)]
+    bits = _slot_bits(cp.flavor, n_max)
+
+    def move(packed: int, p: int, w: int) -> int:
+        return (packed & _weight_mask(n_max, n_max - w, bits)) << (bits * (p * stride + w))
+
+    flat = _unpack_slots(_window_dp(cp, n_max, move), stride * stride, bits)
+    return [flat[m * stride : (m + 1) * stride] for m in range(stride)]
+
+
+def _compute_totals(cp: CountParams, n_max: int) -> list[int]:
+    """Counts by weight alone, up to n_max: one packed slot per weight."""
+    if cp.a <= 0:
+        return [0] * (n_max + 1)
+    bits = _slot_bits(cp.flavor, n_max)
+    window = (1 << (bits * (n_max + 1))) - 1
+
+    def move(packed: int, p: int, w: int) -> int:
+        return (packed << (bits * w)) & window
+
+    return _unpack_slots(_window_dp(cp, n_max, move), n_max + 1, bits)
 
 
 def count_table(cp: CountParams, n_max: int) -> list[list[int]]:
     """Cached (parts, weight) count table; entry [m][n] counts solutions."""
-    if n_max > 300:
-        raise DomainError("table bound too large for 64-bit packed counts")
     key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
     cached = _table_cache.get(key)
     if cached is None or cached[0] < n_max:
@@ -273,12 +320,24 @@ def count_mult(cp: CountParams, m: int, n: int) -> int:
     return count_table(cp, n)[m][n]
 
 
+def count_mult_totals(cp: CountParams, n_max: int) -> list[int]:
+    """Numbers of admissible solutions of weight 0..n_max (any number of parts).
+
+    Built by the weight-only DP, without the parts axis, and cached per
+    tuple; a request no larger than the held list is served from it.
+    """
+    key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
+    held = _totals_cache.get(key)
+    if held is None or len(held) <= n_max:
+        held = _totals_cache[key] = _compute_totals(cp, n_max)
+    return held[: n_max + 1]
+
+
 def count_mult_total(cp: CountParams, n: int) -> int:
     """Number of admissible solutions of weight n (any number of parts)."""
     if n < 0:
         return 0
-    table = count_table(cp, n)
-    return sum(table[m][n] for m in range(n + 1))
+    return count_mult_totals(cp, n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +509,14 @@ def verify_recurrence(cp: CountParams, m_max: int, n_max: int) -> RecurrenceOutc
     k, a, d, s, flavor = cp.k, cp.a, cp.d, cp.s, cp.flavor
     flags: dict = {}
     bound = max(m_max, n_max)
-    count_table(cp, bound)  # warm the largest table once
+    # build every table the sweep reads once, at the largest bound: a table
+    # first asked for at a small n would be rebuilt for each larger n
+    referenced = [(a, s), (a - 1, s + 1), (k - a + 1 - s, 0)]
+    if cp.is_over:
+        referenced.append((k - a - s, 0))
+    for a2, s2 in referenced:
+        if a2 > 0:
+            count_table(CountParams(k, a2, d, s2 % d, flavor), bound)
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             lhs = _counter_extended(k, a, d, s, flavor, m, n, flags)

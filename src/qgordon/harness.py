@@ -325,7 +325,7 @@ def check_main_identity(
 
     def run():
         cp = CountParams(k, a, d, s, flavor)
-        b = [counting.count_mult_total(cp, n) for n in range(n_max + 1)]
+        b = counting.count_mult_totals(cp, n_max)
 
         def bval(n):
             return b[n] if n >= 0 else 0
@@ -437,6 +437,8 @@ class SuiteConfig:
             raise ConfigError("a values must be at least 1")
         if self.s_values is not None and any(v < 0 for v in self.s_values):
             raise ConfigError("s values must be non-negative")
+        if next(_grid(self), None) is None:
+            raise ConfigError("empty grid: no tuple has d <= k, 0 <= s < d and 1 <= a <= k")
 
 
 def _grid(config: SuiteConfig) -> Iterable[tuple]:

@@ -80,6 +80,14 @@ def test_cli_config_error_exit_code(capsys):
     assert main(["--k", "1..0"]) == 2
 
 
+def test_cli_empty_grid_is_config_error(capsys):
+    # d > k and a > k leave no tuple to check
+    assert main(["--k", "2", "--d", "5"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert main(["--k", "2", "--a", "7"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_empty_checks(capsys):
     assert main(["--checks", ""]) == 0
     assert "0 passed" in capsys.readouterr().out

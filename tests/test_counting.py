@@ -4,7 +4,9 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qgordon import counting
 from qgordon.counting import (
     OVER,
     REGULAR,
@@ -15,6 +17,7 @@ from qgordon.counting import (
     count_mult,
     count_mult_brute,
     count_mult_total,
+    count_mult_totals,
     count_table,
     iter_freq_solutions,
     min_admissible_weight,
@@ -22,6 +25,7 @@ from qgordon.counting import (
     verify_recurrence,
     write_count_table_csv,
 )
+from qgordon.harness import SuiteConfig, run_suite
 from qgordon.series import DomainError, PowerSeries, q_poch_inf, triple_product
 
 # the two worked examples used throughout: a partition of 21 with 8 parts and
@@ -171,6 +175,72 @@ def test_gordon_counts_monotone_in_a_for_d_one():
         for n in range(18):
             values = [count_mult_total(CountParams(k, a, 1, 0), n) for a in range(1, k + 1)]
             assert values == sorted(values)
+
+
+@st.composite
+def count_params(draw):
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, k))
+    return CountParams(
+        k,
+        draw(st.integers(0, k)),
+        d,
+        draw(st.integers(0, d - 1)),
+        draw(st.sampled_from((REGULAR, OVER))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(count_params(), st.integers(0, 16))
+def test_weight_only_dp_matches_table_and_brute_force(cp, n_max):
+    totals = count_mult_totals(cp, n_max)
+    assert len(totals) == n_max + 1
+    table = count_table(cp, n_max)
+    assert totals == [sum(table[m][n] for m in range(n + 1)) for n in range(n_max + 1)]
+    for n in range(min(n_max, 10) + 1):
+        assert totals[n] == count_mult_brute(cp, None, n), (cp, n)
+
+
+def test_weight_only_dp_is_exact_past_64_bits():
+    # the d = 1 over identity at k = a = 3: its counts first pass 2^64 at n = 389
+    totals = count_mult_totals(CountParams(3, 3, 1, 0, OVER), 400)
+    series, special = congruence_series(3, 1, 3, OVER, 400)
+    assert not special
+    assert totals == list(series.coeffs)
+    assert next(n for n, c in enumerate(totals) if c >= 1 << 64) == 389
+    assert count_mult_totals(CountParams(3, 3, 1, 0, OVER), 50) == totals[:51]
+
+
+def test_slot_width_holds_the_partition_count():
+    for flavor, n_max in ((REGULAR, 301), (OVER, 301), (OVER, 400)):
+        gf = q_poch_inf(1, 1, 1, n_max).invert_unit()
+        if flavor == OVER:
+            gf = gf * q_poch_inf(-1, 1, 1, n_max)
+        bits = counting._slot_bits(flavor, n_max)
+        assert bits % 8 == 0
+        assert gf.coefficient(n_max).bit_length() <= bits < gf.coefficient(n_max).bit_length() + 8
+    assert counting._slot_bits(OVER, 400) > 64
+
+
+def test_identities_build_one_weight_only_dp_per_tuple(monkeypatch):
+    built = []
+    compute_totals = counting._compute_totals
+
+    def spy_totals(cp, n_max):
+        built.append((cp, n_max))
+        return compute_totals(cp, n_max)
+
+    def no_table(cp, n_max):
+        raise AssertionError("the identities check built a (parts, weight) table")
+
+    monkeypatch.setattr(counting, "_totals_cache", {})
+    monkeypatch.setattr(counting, "_compute_totals", spy_totals)
+    monkeypatch.setattr(counting, "_compute_table", no_table)
+    reports = run_suite(SuiteConfig(checks=("identities",), ks=(2, 3), trunc_order=40))
+    ran = [r for r in reports if r.status != "skipped"]
+    assert ran
+    assert len(built) == len(set(built)) == len(ran)
+    assert all(n_max == 40 for _, n_max in built)
 
 
 def test_regular_equals_over_restricted_to_no_overlines():
