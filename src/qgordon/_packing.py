@@ -105,32 +105,6 @@ def multiply_tables(
     return rows
 
 
-def multiply_tables_naive(
-    a_rows: list[list[int]],
-    b_rows: list[list[int]],
-    keep_rows: int,
-    keep_len: int,
-) -> list[list[int]]:
-    """Reference O(n^2) implementation of multiply_tables (tests only)."""
-    out = [[0] * keep_len for _ in range(keep_rows)]
-    for r1, row_a in enumerate(a_rows):
-        for r2, row_b in enumerate(b_rows):
-            r = r1 + r2
-            if r >= keep_rows:
-                continue
-            target = out[r]
-            for i, ca in enumerate(row_a):
-                if not ca or i >= keep_len:
-                    continue
-                for j, cb in enumerate(row_b):
-                    t = i + j
-                    if t >= keep_len:
-                        break
-                    if cb:
-                        target[t] += ca * cb
-    return out
-
-
 def convolve(a: list[int], b: list[int], keep_len: int) -> list[int]:
     """Exact 1-D convolution of two coefficient lists, truncated to keep_len."""
     return multiply_tables([a], [b], 1, keep_len)[0]

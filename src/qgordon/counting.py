@@ -34,6 +34,11 @@ REGULAR = "regular"
 OVER = "over"
 
 
+def modulus(k: int, d: int, flavor: str) -> int:
+    """Modulus of the product side: 2k+2-d (regular) or 2k+1-d (over)."""
+    return 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
+
+
 @dataclass(frozen=True)
 class CountParams:
     """Parameter tuple addressing one counter family.
@@ -324,12 +329,15 @@ def count_mult_totals(cp: CountParams, n_max: int) -> list[int]:
     """Numbers of admissible solutions of weight 0..n_max (any number of parts).
 
     Built by the weight-only DP, without the parts axis, and cached per
-    tuple; a request no larger than the held list is served from it.
+    tuple; a request no larger than the held list is served from it.  A
+    larger one at least doubles the held bound, so a caller walking n
+    upward rebuilds O(log n) times.
     """
     key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
     held = _totals_cache.get(key)
     if held is None or len(held) <= n_max:
-        held = _totals_cache[key] = _compute_totals(cp, n_max)
+        grown = n_max if held is None else max(n_max, 2 * (len(held) - 1))
+        held = _totals_cache[key] = _compute_totals(cp, grown)
     return held[: n_max + 1]
 
 
@@ -426,17 +434,16 @@ def congruence_series(
     Returns (series, product_defined).
     """
     n = trunc_order
+    M = modulus(k, d, flavor)
     if flavor == REGULAR:
-        modulus = 2 * k + 2 - d
-        if 2 * c == modulus:
-            ps = triple_product(c, modulus, n) * q_poch_inf(1, 1, 1, n).invert_unit()
+        if 2 * c == M:
+            ps = triple_product(c, M, n) * q_poch_inf(1, 1, 1, n).invert_unit()
             return ps, True
-        r = c % modulus
-        bad = {0, r, (modulus - r) % modulus}
-        allowed = [v for v in range(1, n + 1) if v % modulus not in bad]
+        r = c % M
+        bad = {0, r, (M - r) % M}
+        allowed = [v for v in range(1, n + 1) if v % M not in bad]
         return PowerSeries(_knapsack_counts(allowed, n), n), False
-    modulus = 2 * k + 1 - d
-    if 2 * c == modulus:
+    if 2 * c == M:
         if d % 2 == 0:
             raise DomainError(
                 "exceptional over case needs k + (1-d)/2 integral, so d must be odd"
@@ -446,9 +453,9 @@ def congruence_series(
         plain = _knapsack_counts(allowed, n)
         lined = _distinct_counts(allowed, n)
     else:
-        r = c % modulus
-        bad = {0, r, (modulus - r) % modulus}
-        allowed = [v for v in range(1, n + 1) if v % modulus not in bad]
+        r = c % M
+        bad = {0, r, (M - r) % M}
+        allowed = [v for v in range(1, n + 1) if v % M not in bad]
         plain = _knapsack_counts(allowed, n)
         lined = _distinct_counts(list(range(1, n + 1)), n)
     return PowerSeries(plain, n) * PowerSeries(lined, n), False
@@ -461,7 +468,9 @@ def count_cong(cp: CountParams, n: int) -> int:
     key = (cp.k, cp.d, cp.a, cp.flavor)
     cached = _cong_cache.get(key)
     if cached is None or cached[0] < n:
-        series, special = congruence_series(cp.k, cp.d, cp.a, cp.flavor, max(n, 16))
+        # at least double the held order, so an upward walk rebuilds O(log n) times
+        grown = max(n, 16 if cached is None else 2 * cached[0])
+        series, special = congruence_series(cp.k, cp.d, cp.a, cp.flavor, grown)
         _cong_cache[key] = (series.trunc_order, series, special)
     else:
         series = cached[1]

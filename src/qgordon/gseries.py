@@ -13,6 +13,11 @@ families contain q^(-n s) and q^(-n a) factors, so intermediate objects carry
 negative q-offsets; every builder takes the target truncation and internally
 computes with exactly the head room the shifts require.
 
+The summands are not multiplied out of their Pochhammer factors: their
+x-rows follow one by one from the first-order q-difference equation in x
+that those factors satisfy (see summand_series), so building one is a few
+row sweeps with no bivariate product.
+
 Pure functions + idempotent memo dicts: safe for concurrent use.
 """
 
@@ -27,6 +32,7 @@ from .counting import (
     CountParams,
     count_table,
     min_admissible_weight,
+    modulus,
 )
 from .series import (
     BiSeries,
@@ -38,69 +44,25 @@ from .series import (
     triple_product,
 )
 
-_prefactor_cache: dict = {}
-_tail_cache: dict = {}
-_bracket_cache: dict = {}
-_finite_cache: dict = {}
 _summand_cache: dict = {}
 
 
 def _quadratic_weight(k: int, d: int, flavor: str, n: int) -> int:
     """Exponent of the pure q-power in the n-th summand: grows quadratically."""
-    modulus = 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
-    return modulus * n * (n + 1) // 2
+    return modulus(k, d, flavor) * n * (n + 1) // 2
 
 
-def _prefactor(d: int, x_order: int, trunc: int) -> BiSeries:
-    # ((xq)^d; q^d)_inf / (xq; q)_inf
-    key = (d, x_order, trunc)
-    got = _prefactor_cache.get(key)
-    if got is None:
-        num = poch_inf(1, d, d, d, x_order, trunc)
-        got = num * poch_inf(1, 1, 1, 1, x_order, trunc).invert_unit()
-        _prefactor_cache[key] = got
-    return got
+def _divide_binomial(rows: list[list[int]], a: int, e: int) -> None:
+    """Divide the table by 1 - x^a q^e in place, (a, e) != (0, 0).
 
-
-def _tail_inverse(d: int, n: int, x_order: int, trunc: int) -> BiSeries:
-    # 1 / ((x q^(n+1))^d; q^d)_inf
-    key = (d, n, x_order, trunc)
-    got = _tail_cache.get(key)
-    if got is None:
-        got = poch_inf(1, d, (n + 1) * d, d, x_order, trunc).invert_unit()
-        _tail_cache[key] = got
-    return got
-
-
-def _bracket_inverse(d: int, x_order: int, trunc: int) -> BiSeries:
-    # 1 / (1 - (xq)^d)
-    key = (d, x_order, trunc)
-    got = _bracket_cache.get(key)
-    if got is None:
-        got = (
-            BiSeries.one(x_order, trunc) - BiSeries.monomial(1, d, d, x_order, trunc)
-        ).invert_unit()
-        _bracket_cache[key] = got
-    return got
-
-
-def _finite_factors_inverse(d: int, n: int, flavor: str, x_order: int, trunc: int):
-    # 1/(q^d; q^d)_n, and for overpartitions also (-q; q)_n (-x q^(n+1); q)_inf
-    key = (d, n, flavor, x_order, trunc)
-    got = _finite_cache.get(key)
-    if got is None:
-        inv = q_poch_finite(1, d, d, n, trunc).invert_unit()
-        got = BiSeries.from_power_series(inv, x_order)
-        if flavor == OVER:
-            lined = q_poch_finite(-1, 1, 1, n, trunc)
-            got = got * BiSeries.from_power_series(lined, x_order)
-            got = got * poch_inf(-1, 1, n + 1, 1, x_order, trunc)
-        _finite_cache[key] = got
-    return got
-
-
-def _xq_power(e: int, x_order: int, trunc: int) -> BiSeries:
-    return BiSeries.monomial(1, e, e, x_order, trunc)
+    Row m gains q^e times row m - a, with rows and then q-exponents swept
+    upward so that every row read already holds the quotient.
+    """
+    for m in range(a, len(rows)):
+        dst, src = rows[m], rows[m - a]
+        for t in range(e, len(dst)):
+            if src[t - e]:
+                dst[t] += src[t - e]
 
 
 def summand_series(
@@ -113,6 +75,21 @@ def summand_series(
     is exact on [q_offset, trunc_order].  n = -1 is the empty summand (zero),
     matching the convention that makes the n = 0 recurrence instances assert
     a vanishing left-hand side.
+
+    The x-dependence is built from a q-difference equation rather than from
+    products.  H(x) = ((xq)^d; q^d)_inf / ((xq; q)_inf ((x q^(n+1))^d; q^d)_inf),
+    times (-x q^(n+1); q)_inf for overpartitions, satisfies
+
+        L(x) H(xq) = R(x) H(x),   R = (1 - xq)(1 - x^d q^(d(n+1))),
+                                  L = 1 - x^d q^d   (times 1 + x q^(n+1) over),
+
+    so its x^m row is h_m = -(1 - q^m)^(-1) sum_(j>=1) (R_j - q^(m-j) L_j) h_(m-j).
+    The recurrence is linear, so seeding h_0 with 1/(q^d; q^d)_n (times
+    (-q; q)_n over) folds in the x-free factors.  The summand is then
+    (-1)^n x^((k+1-d)n) q^(M n(n+1)/2) H(x) times the alpha or beta bracket,
+    divided by 1 - (xq)^d, negated for beta.  Every step multiplies by a
+    series without negative exponents or divides by 1 - x^a q^e, so building
+    on [0, trunc_order + shift] and shifting by q^(-shift) stays exact.
     """
     if kind not in ("alpha", "beta"):
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -127,35 +104,52 @@ def summand_series(
     if got is not None:
         return got
 
+    over = flavor == OVER
     shift = n * s if kind == "alpha" else n * (d - s)
     big = trunc_order + shift  # head room for the final q^(-shift)
-    x_top = x_order
+    x0 = (k + 1 - d) * n
+    if x0 < 0:
+        raise DomainError("x-exponents must be non-negative")
 
-    core = _prefactor(d, x_top, big)
-    core = core * _tail_inverse(d, n, x_top, big)
-    core = core * _finite_factors_inverse(d, n, flavor, x_top, big)
-    core = core.times_monomial(
-        1 if n % 2 == 0 else -1, (k + 1 - d) * n, _quadratic_weight(k, d, flavor, n)
-    )
+    # h_0 = 1/(q^d; q^d)_n, times (-q; q)_n over
+    h = [list(q_poch_finite(-1, 1, 1, n if over else 0, big).coeffs)]
+    for j in range(1, n + 1):
+        _divide_binomial(h, 0, d * j)
+    # x^j coefficients of R and L as (j, coeff, q-exponent) monomials
+    r_terms = [(1, -1, 1), (d, -1, d * (n + 1)), (d + 1, 1, d * (n + 1) + 1)]
+    l_terms = [(d, -1, d)]
+    if over:
+        l_terms += [(1, 1, n + 1), (d + 1, -1, d + n + 1)]
+    for m in range(1, x_order - x0 + 1):
+        acc = [0] * (big + 1)
+        for j, c, e in r_terms:
+            if j <= m:
+                acc[e:] = [u - c * v for u, v in zip(acc[e:], h[m - j])]
+        for j, c, e in l_terms:
+            if j <= m:
+                e += m - j
+                acc[e:] = [u + c * v for u, v in zip(acc[e:], h[m - j])]
+        _divide_binomial([acc], 0, m)
+        h.append(acc)
 
-    one = BiSeries.one(x_top, big)
-    qdn = BiSeries.monomial(1, 0, d * n, x_top, big)
+    # (-1)^n x^x0 q^(M n(n+1)/2) times the bracket, as (coeff, x, q) monomials
+    qdn = d * n
     if kind == "alpha":
-        bracket = qdn * _xq_power(d - s, x_top, big) * (one - _xq_power(s, x_top, big))
-        bracket = bracket + (one - _xq_power(d - s, x_top, big))
+        bracket = [(1, 0, 0), (-1, d - s, d - s), (1, d - s, qdn + d - s), (-1, d, qdn + d)]
     else:
-        bracket = one - _xq_power(s, x_top, big)
-        bracket = bracket + qdn * _xq_power(s, x_top, big) * (
-            one - _xq_power(d - s, x_top, big)
-        )
-    bracket = bracket * _bracket_inverse(d, x_top, big)
-
-    out = core * bracket
-    if kind == "beta":
-        out = -out
-    out = out.times_monomial(1, 0, -shift)
-    _summand_cache[key] = out
-    return out
+        bracket = [(1, 0, 0), (-1, s, s), (1, s, qdn + s), (-1, d, qdn + d)]
+    sign = (1 if n % 2 == 0 else -1) * (1 if kind == "alpha" else -1)
+    q0 = _quadratic_weight(k, d, flavor, n)
+    out = [[0] * (big + 1) for _ in range(x_order + 1)]
+    for c, a, e in bracket:
+        c *= sign
+        e += q0
+        for m, row in enumerate(h[: max(x_order - x0 - a + 1, 0)]):
+            dst = out[x0 + a + m]
+            dst[e:] = [u + c * v for u, v in zip(dst[e:], row)]
+    _divide_binomial(out, d, d)
+    got = _summand_cache[key] = BiSeries(out, x_order, trunc_order, -shift)
+    return got
 
 
 def alpha_series(k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
@@ -182,8 +176,7 @@ def _summand_span(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_
     """
     if mono_x < 0 or mono_x + a < 0:
         raise DomainError("combined x-exponents must be non-negative")
-    modulus = 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
-    n_monotone = max(s + a, d - s - a, 1) // modulus + 1
+    n_monotone = max(s + a, d - s - a, 1) // modulus(k, d, flavor) + 1
     total = BiSeries.zero(x_order, trunc_order)
     n = 0
     while True:
@@ -564,7 +557,7 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
     specialization is a Laurent series are representable.
     """
     N = trunc_order
-    modulus = 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
+    M = modulus(k, d, flavor)
     inv_d = (PowerSeries.one(N) - PowerSeries.monomial(1, d, N)).invert_unit()
     inv_euler = q_poch_inf(1, 1, 1, N).invert_unit()
     lined = q_poch_inf(-1, 1, 1, N) if flavor == OVER else PowerSeries.one(N)
@@ -573,8 +566,8 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
     def tp(c: int) -> Optional[PowerSeries]:
         if c == 0:
             return PowerSeries.zero(N)
-        if 1 <= c <= modulus:
-            return triple_product(c, modulus, N)
+        if 1 <= c <= M:
+            return triple_product(c, M, N)
         return None
 
     pre2 = (PowerSeries.one(N) - PowerSeries.monomial(1, d - s, N)) * inv_d
@@ -600,12 +593,12 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
         )
 
     # bilateral-theta combination, valid for every parameter tuple
-    th1 = _theta_laurent(a + s - d, modulus, N)
-    th2 = _theta_laurent(a + s, modulus, N)
+    th1 = _theta_laurent(a + s - d, M, N)
+    th2 = _theta_laurent(a + s, M, N)
     head = max(0, -th1.q_offset, -th2.q_offset)
     big = N + head
-    th1 = _theta_laurent(a + s - d, modulus, big)
-    th2 = _theta_laurent(a + s, modulus, big)
+    th1 = _theta_laurent(a + s - d, M, big)
+    th2 = _theta_laurent(a + s, M, big)
     combo = _pre_bi(d - s, d, big) * th1 + (
         BiSeries.one(0, big) - BiSeries.monomial(1, 0, d - s, 0, big)
     ) * th2
@@ -633,8 +626,7 @@ def x_one_exact_bound(k, a, d, s, flavor, x_order, trunc_order) -> int:
         return min(N - X, min_admissible_weight(k, a, flavor, X + 1) - 1)
     # t_alpha(n) and t_beta(n) are eventually increasing in n; scan through
     # the last index at which either difference can still be negative
-    modulus = 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
-    scan_top = max(k + 1 - d + s + a, k + 1 - s - a, 1) // modulus + 2
+    scan_top = max(k + 1 - d + s + a, k + 1 - s - a, 1) // modulus(k, d, flavor) + 2
     deficit = 0
     for n in range(1, scan_top + 1):
         base = _quadratic_weight(k, d, flavor, n) - (k + 1 - d) * n
@@ -711,26 +703,3 @@ def bridging_identity_holds(d: int, s: int, a: int) -> bool:
     lhs = mul(poly((d - s, 1), (d, -1)), poly((0, 1), (a + s - d, -1)))
     rhs = mul(poly((a + s, 1), (a, -1)), poly((0, 1), (d - s - a, -1)))
     return lhs == rhs
-
-
-def unilateral_theta_pieces(c: int, modulus: int, trunc: int):
-    """The two one-sided alternating sums whose reindexings merge into the
-    bilateral theta sum: sum_{n>=0} (-1)^n q^(M n(n+1)/2 - n c) and
-    sum_{n>=0} (-1)^n q^(M n(n+1)/2 + (n+1) c).  The merge asserts
-    bilateral = first - second (checked as a property test)."""
-    first = [0] * (trunc + 1)
-    second = [0] * (trunc + 1)
-    n = 0
-    while True:
-        e = modulus * n * (n + 1) // 2 - n * c
-        e2 = modulus * n * (n + 1) // 2 + (n + 1) * c
-        if e > trunc and e2 > trunc and modulus * (n + 1) > c:
-            break
-        if 0 <= e <= trunc:
-            first[e] += 1 if n % 2 == 0 else -1
-        elif e < 0:
-            raise DomainError("unilateral sum left the power-series range")
-        if 0 <= e2 <= trunc:
-            second[e2] += 1 if n % 2 == 0 else -1
-        n += 1
-    return PowerSeries(first, trunc), PowerSeries(second, trunc)

@@ -441,19 +441,6 @@ class BiSeries:
         return BiSeries(g_rows, self.x_order, n, 0)
 
 
-def _product_tree(factors: list[BiSeries], x_order: int, trunc_order: int) -> BiSeries:
-    # balanced fold: same result as a left fold, fewer large multiplies
-    if not factors:
-        return BiSeries.one(x_order, trunc_order)
-    while len(factors) > 1:
-        nxt = [
-            factors[i] * factors[i + 1] if i + 1 < len(factors) else factors[i]
-            for i in range(0, len(factors), 2)
-        ]
-        factors = nxt
-    return factors[0]
-
-
 def poch_finite(
     coeff: int,
     x_exp: int,
@@ -466,20 +453,25 @@ def poch_finite(
     """(z; q^step)_n for the monomial z = coeff * x^x_exp * q^q_exp.
 
     The finite product (1 - z)(1 - z q^step) ... (1 - z q^(step*(n-1))),
-    truncated to the (x_order, trunc_order) window.  n = 0 gives 1.
+    truncated to the (x_order, trunc_order) window.  n = 0 gives 1.  Each
+    factor 1 - z q^(step*j) is multiplied in place: row m loses
+    coeff * q^e times row m - x_exp, with the rows swept from the top down
+    so that every row read still holds the previous partial product.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
     if step < 1:
         raise DomainError("step must be at least 1")
-    one = BiSeries.one(x_order, trunc_order)
-    factors = []
+    if x_exp < 0 or q_exp < 0:
+        raise DomainError("z must be an ordinary monomial")
+    rows = [[0] * (trunc_order + 1) for _ in range(x_order + 1)]
+    rows[0][0] = 1
     for j in range(n):
-        e = q_exp + step * j
-        if x_exp > x_order or e > trunc_order:
-            continue  # factor is 1 on this window
-        factors.append(one - BiSeries.monomial(coeff, x_exp, e, x_order, trunc_order))
-    return _product_tree(factors, x_order, trunc_order)
+        e = q_exp + step * j  # a factor beyond the window sweeps nothing
+        for m in range(x_order, x_exp - 1, -1):
+            dst, src = rows[m], rows[m - x_exp]
+            dst[e:] = [u - coeff * v for u, v in zip(dst[e:], src)]
+    return BiSeries(rows, x_order, trunc_order)
 
 
 def poch_inf(

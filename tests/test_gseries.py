@@ -1,7 +1,9 @@
 """The constructed series: initial conditions, recurrences, identifications."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qgordon import _packing, gseries
 from qgordon.counting import OVER, REGULAR, CountParams, count_mult
 from qgordon.gseries import (
     alpha_series,
@@ -13,7 +15,7 @@ from qgordon.gseries import (
     identification_grounded,
     needed_trunc_order,
     recurrence_gf,
-    unilateral_theta_pieces,
+    summand_series,
     verify_gf_functional_equation,
     verify_summand_recurrences,
     x_one_check,
@@ -22,6 +24,7 @@ from qgordon.gseries import (
 )
 from qgordon.series import (
     BiSeries,
+    DomainError,
     OrdinarinessError,
     PowerSeries,
     eval_x_one,
@@ -92,6 +95,81 @@ def test_d_one_summand_collapses_to_plain_quotient():
 def test_summand_minus_one_is_zero():
     assert alpha_series(3, 2, 1, -1, REGULAR, X, N).is_zero()
     assert beta_series(3, 2, 1, -1, OVER, X, N).is_zero()
+
+
+def reference_summand(kind, k, d, s, n, flavor, x_order, trunc_order):
+    """The summand as a product of BiSeries factors, each built on its own:
+    the prefactor ((xq)^d; q^d)_inf / (xq; q)_inf, the tail
+    1/((x q^(n+1))^d; q^d)_inf, the x-free factors, the monomial and the
+    bracket over 1 - (xq)^d.  Independent of the q-difference recurrence."""
+    if n == -1:
+        return BiSeries.zero(x_order, trunc_order)
+    shift = n * s if kind == "alpha" else n * (d - s)
+    X, big = x_order, trunc_order + shift
+    one = BiSeries.one(X, big)
+
+    def xq(e):
+        return BiSeries.monomial(1, e, e, X, big)
+
+    core = poch_inf(1, d, d, d, X, big) * poch_inf(1, 1, 1, 1, X, big).invert_unit()
+    core = core * poch_inf(1, d, (n + 1) * d, d, X, big).invert_unit()
+    core = core * BiSeries.from_power_series(q_poch_finite(1, d, d, n, big).invert_unit(), X)
+    if flavor == OVER:
+        core = core * BiSeries.from_power_series(q_poch_finite(-1, 1, 1, n, big), X)
+        core = core * poch_inf(-1, 1, n + 1, 1, X, big)
+    modulus = 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
+    core = core.times_monomial((-1) ** n, (k + 1 - d) * n, modulus * n * (n + 1) // 2)
+    qdn = BiSeries.monomial(1, 0, d * n, X, big)
+    if kind == "alpha":
+        bracket = qdn * xq(d - s) * (one - xq(s)) + (one - xq(d - s))
+    else:
+        bracket = (one - xq(s)) + qdn * xq(s) * (one - xq(d - s))
+    out = core * bracket * (one - xq(d)).invert_unit()
+    if kind == "beta":
+        out = -out
+    return out.times_monomial(1, 0, -shift)
+
+
+@st.composite
+def summand_instances(draw):
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(1, k))
+    return (
+        draw(st.sampled_from(("alpha", "beta"))),
+        k,
+        d,
+        draw(st.integers(0, d - 1)),
+        draw(st.integers(-1, 3)),
+        draw(st.sampled_from((REGULAR, OVER))),
+        draw(st.integers(0, 6)),
+        draw(st.integers(0, 25)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(summand_instances())
+def test_summand_matches_product_reference(instance):
+    # compare with ==, not rows: the two constructions may pick different q-offsets
+    assert summand_series(*instance) == reference_summand(*instance)
+
+
+def test_summand_miss_makes_no_kernel_call(monkeypatch):
+    calls = []
+    multiply = _packing.multiply_tables
+
+    def counted(*args):
+        calls.append(args)
+        return multiply(*args)
+
+    monkeypatch.setattr(_packing, "multiply_tables", counted)
+    monkeypatch.setattr(gseries, "_summand_cache", {})
+    for kind in ("alpha", "beta"):
+        for flavor in (REGULAR, OVER):
+            summand_series(kind, 4, 3, 1, 2, flavor, 8, 40)
+    assert len(gseries._summand_cache) == 4
+    assert not calls
+    BiSeries.one(1, 4) * BiSeries.one(1, 4)  # the counter does see products
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +388,29 @@ def test_bridging_identity_grid():
         for s in range(d):
             for a in range(1, 6):
                 assert bridging_identity_holds(d, s, a), (d, s, a)
+
+
+def unilateral_theta_pieces(c: int, modulus: int, trunc: int):
+    """The two one-sided alternating sums whose reindexings merge into the
+    bilateral theta sum: sum_{n>=0} (-1)^n q^(M n(n+1)/2 - n c) and
+    sum_{n>=0} (-1)^n q^(M n(n+1)/2 + (n+1) c).  The merge asserts
+    bilateral = first - second."""
+    first = [0] * (trunc + 1)
+    second = [0] * (trunc + 1)
+    n = 0
+    while True:
+        e = modulus * n * (n + 1) // 2 - n * c
+        e2 = modulus * n * (n + 1) // 2 + (n + 1) * c
+        if e > trunc and e2 > trunc and modulus * (n + 1) > c:
+            break
+        if 0 <= e <= trunc:
+            first[e] += 1 if n % 2 == 0 else -1
+        elif e < 0:
+            raise DomainError("unilateral sum left the power-series range")
+        if 0 <= e2 <= trunc:
+            second[e2] += 1 if n % 2 == 0 else -1
+        n += 1
+    return PowerSeries(first, trunc), PowerSeries(second, trunc)
 
 
 def test_unilateral_pieces_merge_into_bilateral():

@@ -4,6 +4,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgordon.series import (
     BiSeries,
@@ -159,6 +160,33 @@ def test_invert_unit_requires_zero_offset():
 
 def test_poch_finite_empty_product_is_one():
     assert poch_finite(1, 1, 1, 1, 0, 4, 10) == BiSeries.one(4, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeff=st.integers(-3, 3),
+    x_exp=st.integers(0, 3),
+    q_exp=st.integers(0, 5),
+    step=st.integers(1, 3),
+    n=st.integers(0, 6),
+    x_order=st.integers(0, 4),
+    trunc_order=st.integers(0, 20),
+)
+def test_poch_finite_matches_left_fold(coeff, x_exp, q_exp, step, n, x_order, trunc_order):
+    # oracle: fold the factors 1 - z q^(step*j) left to right as BiSeries products
+    one = BiSeries.one(x_order, trunc_order)
+    want = one
+    for j in range(n):
+        z = BiSeries.monomial(coeff, x_exp, q_exp + step * j, x_order, trunc_order)
+        want = want * (one - z)
+    assert poch_finite(coeff, x_exp, q_exp, step, n, x_order, trunc_order) == want
+
+
+def test_poch_finite_rejects_negative_exponents():
+    with pytest.raises(DomainError):
+        poch_finite(1, 0, -1, 1, 2, 3, 9)
+    with pytest.raises(DomainError):
+        poch_finite(1, -1, 1, 1, 2, 3, 9)
 
 
 def test_poch_finite_euler_identity_against_direct_multiplication():
