@@ -329,15 +329,12 @@ def count_mult_totals(cp: CountParams, n_max: int) -> list[int]:
     """Numbers of admissible solutions of weight 0..n_max (any number of parts).
 
     Built by the weight-only DP, without the parts axis, and cached per
-    tuple; a request no larger than the held list is served from it.  A
-    larger one at least doubles the held bound, so a caller walking n
-    upward rebuilds O(log n) times.
+    tuple; a request no larger than the held list is served from it.
     """
     key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
     held = _totals_cache.get(key)
     if held is None or len(held) <= n_max:
-        grown = n_max if held is None else max(n_max, 2 * (len(held) - 1))
-        held = _totals_cache[key] = _compute_totals(cp, grown)
+        held = _totals_cache[key] = _compute_totals(cp, n_max)
     return held[: n_max + 1]
 
 
@@ -468,9 +465,7 @@ def count_cong(cp: CountParams, n: int) -> int:
     key = (cp.k, cp.d, cp.a, cp.flavor)
     cached = _cong_cache.get(key)
     if cached is None or cached[0] < n:
-        # at least double the held order, so an upward walk rebuilds O(log n) times
-        grown = max(n, 16 if cached is None else 2 * cached[0])
-        series, special = congruence_series(cp.k, cp.d, cp.a, cp.flavor, grown)
+        series, special = congruence_series(cp.k, cp.d, cp.a, cp.flavor, max(n, 16))
         _cong_cache[key] = (series.trunc_order, series, special)
     else:
         series = cached[1]

@@ -453,8 +453,9 @@ def poch_finite(
     """(z; q^step)_n for the monomial z = coeff * x^x_exp * q^q_exp.
 
     The finite product (1 - z)(1 - z q^step) ... (1 - z q^(step*(n-1))),
-    truncated to the (x_order, trunc_order) window.  n = 0 gives 1.  Each
-    factor 1 - z q^(step*j) is multiplied in place: row m loses
+    truncated to the (x_order, trunc_order) window.  n = 0 gives 1.  Both
+    x_exp and q_exp must be at least 0, as in poch_inf; a negative exponent
+    raises DomainError.  Each factor 1 - z q^(step*j) is multiplied in place: row m loses
     coeff * q^e times row m - x_exp, with the rows swept from the top down
     so that every row read still holds the previous partial product.
     """

@@ -243,35 +243,6 @@ def test_identities_build_one_weight_only_dp_per_tuple(monkeypatch):
     assert all(n_max == 40 for _, n_max in built)
 
 
-def test_upward_walk_rebuilds_logarithmically(monkeypatch):
-    # criterion 01's loop: each n = 0..40 in turn, on 9 tuples; a miss grows
-    # the held bound to max(n, 2 x held), so each side rebuilds O(log n) times
-    totals, cong = [], []
-    compute_totals = counting._compute_totals
-    cong_series = counting.congruence_series
-
-    def spy_totals(cp, n_max):
-        totals.append(cp)
-        return compute_totals(cp, n_max)
-
-    def spy_cong(k, d, c, flavor, trunc_order):
-        cong.append((k, d, c, flavor))
-        return cong_series(k, d, c, flavor, trunc_order)
-
-    monkeypatch.setattr(counting, "_totals_cache", {})
-    monkeypatch.setattr(counting, "_cong_cache", {})
-    monkeypatch.setattr(counting, "_compute_totals", spy_totals)
-    monkeypatch.setattr(counting, "congruence_series", spy_cong)
-    tuples = [CountParams(k, a, 1, 0, REGULAR) for k in (2, 3, 4) for a in range(1, k + 1)]
-    for cp in tuples:
-        for n in range(41):
-            assert count_mult_total(cp, n) == count_cong(cp, n), (cp, n)
-    assert len(tuples) == 9
-    for cp in tuples:
-        assert totals.count(cp) <= 8, cp
-        assert cong.count((cp.k, cp.d, cp.a, cp.flavor)) <= 3, cp
-
-
 def test_regular_equals_over_restricted_to_no_overlines():
     for k, a, d, s in ((3, 2, 2, 1), (4, 3, 3, 2), (2, 2, 2, 0)):
         reg = CountParams(k, a, d, s, REGULAR)
