@@ -486,20 +486,6 @@ class RecurrenceOutcome:
     extension_used: bool  # some referenced lower index fell below 0
 
 
-def _counter_extended(
-    k: int, a: int, d: int, s: int, flavor: str, m: int, n: int, flags: dict
-) -> int:
-    """Counter value with the lower index extended by 0 below its range."""
-    if m < 0 or n < 0:
-        return 0
-    if a < 0:
-        flags["extension"] = True
-        return 0
-    if a == 0:
-        return 0
-    return count_mult(CountParams(k, a, d, s % d, flavor), m, n)
-
-
 def verify_recurrence(cp: CountParams, m_max: int, n_max: int) -> RecurrenceOutcome:
     """Check the defining recurrence of the counters on a (parts, weight) box.
 
@@ -509,32 +495,45 @@ def verify_recurrence(cp: CountParams, m_max: int, n_max: int) -> RecurrenceOutc
     counters at (m-a+1, n-m) (plus, for overpartitions, the overlined-1 class
     at (m-a, n-m)).  Superscripts are residues mod d; lower indices below 0
     contribute 0 and set the extension flag.
+
+    Each of the three or four tables is built once, at the largest bound, and
+    the two sides are compared a whole m-row at a time.  The reported
+    mismatch is the first in the order of the sweep: least n, then least m.
+    The extension flag is set when a counter with a negative lower index is
+    read at m, n >= 0 no later than the point where the sweep stops.
     """
     k, a, d, s, flavor = cp.k, cp.a, cp.d, cp.s, cp.flavor
-    flags: dict = {}
-    bound = max(m_max, n_max)
-    # build every table the sweep reads once, at the largest bound: a table
-    # first asked for at a small n would be rebuilt for each larger n
-    referenced = [(a, s), (a - 1, s + 1), (k - a + 1 - s, 0)]
+    width = n_max + 1
+
+    def table(a2: int, s2: int) -> list:
+        if a2 <= 0:
+            return []  # the counter vanishes; every row reads as zero
+        return count_table(CountParams(k, a2, d, s2 % d, flavor), max(m_max, n_max))
+
+    lhs_table = table(a, s)
+    same_table = table(a - 1, s + 1)  # read at (m, n)
+    # (table, lower index, shift): read at (m - shift, n - m)
+    stripped = [(table(k - a + 1 - s, 0), k - a + 1 - s, a - 1)]
     if cp.is_over:
-        referenced.append((k - a - s, 0))
-    for a2, s2 in referenced:
-        if a2 > 0:
-            count_table(CountParams(k, a2, d, s2 % d, flavor), bound)
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            lhs = _counter_extended(k, a, d, s, flavor, m, n, flags)
-            rhs = _counter_extended(k, a - 1, d, s + 1, flavor, m, n, flags)
-            rhs += _counter_extended(
-                k, k - a + 1 - s, d, 0, flavor, m - a + 1, n - m, flags
-            )
-            if cp.is_over:
-                rhs += _counter_extended(
-                    k, k - a - s, d, 0, flavor, m - a, n - m, flags
-                )
-            if lhs != rhs:
-                return RecurrenceOutcome(False, (m, n, lhs, rhs), "extension" in flags)
-    return RecurrenceOutcome(True, None, "extension" in flags)
+        stripped.append((table(k - a - s, 0), k - a - s, a))
+    mismatch = None
+    for m in range(m_max + 1):
+        lhs = lhs_table[m][:width] if lhs_table else [0] * width
+        rhs = list(same_table[m][:width]) if same_table else [0] * width
+        for rows, _, shift in stripped:
+            if 0 <= m - shift < len(rows):
+                rhs[m:] = [u + v for u, v in zip(rhs[m:], rows[m - shift])]
+        if lhs != rhs:
+            n = next(n for n, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            if mismatch is None or n < mismatch[1]:
+                mismatch = (m, n, lhs[n], rhs[n])
+    # the sweep runs n-major and stops at its first mismatch; each
+    # negative-index counter is first read at m = n = (its shift, or 0)
+    stop = (mismatch[1], mismatch[0]) if mismatch else (n_max, m_max)
+    first_reads = [0] if a - 1 < 0 else []
+    first_reads += [max(shift, 0) for _, lower, shift in stripped if lower < 0]
+    extension = any(m0 <= m_max and (m0, m0) <= stop for m0 in first_reads)
+    return RecurrenceOutcome(mismatch is None, mismatch, extension)
 
 
 # ---------------------------------------------------------------------------

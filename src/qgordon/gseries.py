@@ -16,7 +16,10 @@ computes with exactly the head room the shifts require.
 The summands are not multiplied out of their Pochhammer factors: their
 x-rows follow one by one from the first-order q-difference equation in x
 that those factors satisfy (see summand_series), so building one is a few
-row sweeps with no bivariate product.
+row sweeps with no bivariate product.  Sums of shifted summands are added
+in place into one row table (_sum_terms), not one BiSeries at a time.  The
+x = 1 product forms are likewise built as one Laurent row each and divided
+in place by (1 - q^d)(q; q)_inf, so no series is inverted.
 
 Pure functions + idempotent memo dicts: safe for concurrent use.
 """
@@ -37,10 +40,9 @@ from .counting import (
 from .series import (
     BiSeries,
     DomainError,
-    PowerSeries,
-    poch_inf,
+    TruncationMismatch,
     q_poch_finite,
-    q_poch_inf,
+    sum_x_rows,
     triple_product,
 )
 
@@ -165,8 +167,38 @@ def beta_series(k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
 # ---------------------------------------------------------------------------
 
 
-def _summand_span(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_q):
-    """Sum over n of the two G-summand terms, times x^mono_x q^mono_q.
+def _sum_terms(terms, x_order, trunc_order) -> BiSeries:
+    """Sum of coeff * x^mono_x q^mono_q * f(x q^at_xq) over the terms.
+
+    Each term is (f, coeff, mono_x, mono_q, at_xq) with coeff 1 or -1, and
+    is added straight into one row table: the entry of f at x^m q^e lands at
+    x^(m + mono_x) q^(e + mono_q + at_xq * m), and whatever lands past
+    x_order or trunc_order is dropped.  That is exact because every f must be
+    built at trunc_order - min(mono_q, 0), so that it reaches trunc_order
+    after the shift.
+    """
+    off = min([0] + [f.q_offset + mono_q for f, _, _, mono_q, _ in terms])
+    width = trunc_order - off + 1
+    rows = [[0] * width for _ in range(x_order + 1)]
+    for f, coeff, mono_x, mono_q, at_xq in terms:
+        if mono_x < 0 or coeff not in (1, -1):
+            raise DomainError("terms need mono_x >= 0 and coeff 1 or -1")
+        if f.x_order != x_order or f.trunc_order + min(mono_q, 0) != trunc_order:
+            raise TruncationMismatch("term built at the wrong truncation")
+        base = f.q_offset + mono_q - off
+        for m, src in enumerate(f.rows[: max(x_order + 1 - mono_x, 0)]):
+            e = base + (m if at_xq else 0)
+            dst = rows[m + mono_x]
+            if coeff == 1:
+                dst[e:] = [u + v for u, v in zip(dst[e:], src)]
+            else:
+                dst[e:] = [u - v for u, v in zip(dst[e:], src)]
+    return BiSeries(rows, x_order, trunc_order, off)
+
+
+def _span_terms(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_q, coeff=1):
+    """Terms (see _sum_terms) of coeff x^mono_x q^mono_q times the sum over n
+    of the two G-summand terms.
 
     With at_xq the substitution x -> xq is applied to the alpha/beta factors
     (and the attached (x q^(n+1))^a becomes (x q^(n+2))^a).  The lower index
@@ -177,7 +209,7 @@ def _summand_span(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_
     if mono_x < 0 or mono_x + a < 0:
         raise DomainError("combined x-exponents must be non-negative")
     n_monotone = max(s + a, d - s - a, 1) // modulus(k, d, flavor) + 1
-    total = BiSeries.zero(x_order, trunc_order)
+    terms = []
     n = 0
     while True:
         t_alpha = mono_q - n * a
@@ -192,16 +224,12 @@ def _summand_span(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_
             break
         if (k + 1 - d) * n + mono_x <= x_order and minq_alpha <= trunc_order:
             f = alpha_series(k, d, s, n, flavor, x_order, trunc_order - min(t_alpha, 0))
-            if at_xq:
-                f = f.x_to_xq()
-            total = total + f.times_monomial(1, mono_x, t_alpha)
+            terms.append((f, coeff, mono_x, t_alpha, at_xq))
         if (k + 1 - d) * n + mono_x + a <= x_order and minq_beta <= trunc_order:
             f = beta_series(k, d, s, n, flavor, x_order, trunc_order - min(t_beta, 0))
-            if at_xq:
-                f = f.x_to_xq()
-            total = total + f.times_monomial(1, mono_x + a, t_beta)
+            terms.append((f, coeff, mono_x + a, t_beta, at_xq))
         n += 1
-    return total
+    return terms
 
 
 def constructed_gf(
@@ -222,7 +250,8 @@ def constructed_gf(
     """
     if a < 0:
         raise DomainError("constructed_gf needs a >= 0")
-    span = _summand_span(k, d, s, a, flavor, x_order, trunc_order, False, 0, 0)
+    terms = _span_terms(k, d, s, a, flavor, x_order, trunc_order, False, 0, 0)
+    span = _sum_terms(terms, x_order, trunc_order)
     return span.as_ordinary() if require_ordinary else span
 
 
@@ -334,13 +363,20 @@ def needed_trunc_order(k: int, d: int, n_max: int) -> int:
     return (2 * k + 2 - d) * n_max * (n_max + 1) // 2 + (k + d) * (n_max + 2) + 12
 
 
-def _build_side(parts, x_order, trunc_order):
-    """Sum of (builder, mono_x, mono_q) terms, each with exact head room."""
-    total = BiSeries.zero(x_order, trunc_order)
-    for build, mono_x, mono_q in parts:
-        piece = build(trunc_order - min(mono_q, 0))
-        total = total + piece.times_monomial(1, mono_x, mono_q)
-    return total
+def _build_side(k, d, flavor, parts, x_order, trunc_order):
+    """Sum of (kind, s, n, coeff, mono_x, mono_q, at_xq) summand terms: each
+    summand is built with exact head room and added in place (_sum_terms)."""
+    terms = [
+        (
+            summand_series(kind, k, d, s, n, flavor, x_order, trunc_order - min(mono_q, 0)),
+            coeff,
+            mono_x,
+            mono_q,
+            at_xq,
+        )
+        for kind, s, n, coeff, mono_x, mono_q, at_xq in parts
+    ]
+    return _sum_terms(terms, x_order, trunc_order)
 
 
 def verify_summand_recurrences(
@@ -367,26 +403,25 @@ def verify_summand_recurrences(
     over = flavor == OVER
     sweep = SummandSweep(k, d, flavor, n_max, X, N)
 
-    def al(s, n):
-        return lambda t: alpha_series(k, d, s, n, flavor, X, t)
+    # summand terms (kind, s, n, coeff, mono_x, mono_q, at_xq) of _build_side
+    def al(s, n, mono_x, mono_q, coeff=1):
+        return ("alpha", s, n, coeff, mono_x, mono_q, False)
 
-    def al_xq(s, n):
-        return lambda t: alpha_series(k, d, s, n, flavor, X, t).x_to_xq()
+    def al_xq(s, n, mono_x, mono_q):
+        return ("alpha", s, n, 1, mono_x, mono_q, True)
 
-    def be(s, n):
-        return lambda t: beta_series(k, d, s, n, flavor, X, t)
+    def be(s, n, mono_x, mono_q, coeff=1):
+        return ("beta", s, n, coeff, mono_x, mono_q, False)
 
-    def be_xq(s, n):
-        return lambda t: beta_series(k, d, s, n, flavor, X, t).x_to_xq()
+    def be_xq(s, n, mono_x, mono_q):
+        return ("beta", s, n, 1, mono_x, mono_q, True)
 
-    def neg(build):
-        return lambda t: -build(t)
+    def side(parts):
+        return _build_side(k, d, flavor, parts, X, N)
 
     def record(display, s, a, n, lhs_parts, rhs_parts):
         sweep.instances += 1
-        lhs = _build_side(lhs_parts, X, N)
-        rhs = _build_side(rhs_parts, X, N)
-        diff = lhs.first_difference(rhs)
+        diff = side(lhs_parts).first_difference(side(rhs_parts))
         ok = diff is None
         if not ok:
             sweep.failures.append(DisplayCheck(display, s, a, n, False, diff))
@@ -399,61 +434,54 @@ def verify_summand_recurrences(
                 e2 = k - a - s
                 # alpha display: alpha[s]_n q^(-na) - alpha[s+1]_n q^(-n(a-1))
                 #   = (xq)^(a-1) beta[0]_(n-1)(xq) (x q^(n+1))^e1  [+ over term]
-                rhs = [(be_xq(0, n - 1), (a - 1) + e1, (a - 1) + (n + 1) * e1)]
+                rhs = [be_xq(0, n - 1, (a - 1) + e1, (a - 1) + (n + 1) * e1)]
                 if over:
-                    rhs.append((be_xq(0, n - 1), a + e2, a + (n + 1) * e2))
+                    rhs.append(be_xq(0, n - 1, a + e2, a + (n + 1) * e2))
                 record(
                     "alpha-step",
                     s,
                     a,
                     n,
-                    [(al(s, n), 0, -n * a), (neg(al(s + 1, n)), 0, -n * (a - 1))],
+                    [al(s, n, 0, -n * a), al(s + 1, n, 0, -n * (a - 1), -1)],
                     rhs,
                 )
                 # beta display: beta[s]_n (xq^(n+1))^a - beta[s+1]_n (xq^(n+1))^(a-1)
                 #   = (xq)^(a-1) alpha[0]_n(xq) (q^(-n))^e1  [+ over term]
-                rhs = [(al_xq(0, n), a - 1, (a - 1) - n * e1)]
+                rhs = [al_xq(0, n, a - 1, (a - 1) - n * e1)]
                 if over:
-                    rhs.append((al_xq(0, n), a, a - n * e2))
+                    rhs.append(al_xq(0, n, a, a - n * e2))
                 record(
                     "beta-step",
                     s,
                     a,
                     n,
-                    [
-                        (be(s, n), a, (n + 1) * a),
-                        (neg(be(s + 1, n)), a - 1, (n + 1) * (a - 1)),
-                    ],
+                    [be(s, n, a, (n + 1) * a), be(s + 1, n, a - 1, (n + 1) * (a - 1), -1)],
                     rhs,
                 )
             # wrap-around instances, s = d-1
             w1 = k - a + 2 - d
             w2 = k - a + 1 - d
-            rhs = [(be_xq(0, n - 1), (a - 1) + w1, (a - 1) + (n + 1) * w1)]
+            rhs = [be_xq(0, n - 1, (a - 1) + w1, (a - 1) + (n + 1) * w1)]
             if over:
-                rhs.append((be_xq(0, n - 1), a + w2, a + (n + 1) * w2))
+                rhs.append(be_xq(0, n - 1, a + w2, a + (n + 1) * w2))
             record(
                 "alpha-wrap",
                 d - 1,
                 a,
                 n,
-                [(al(d - 1, n), 0, -n * a), (neg(al(0, n)), 0, -n * (a - 1))],
+                [al(d - 1, n, 0, -n * a), al(0, n, 0, -n * (a - 1), -1)],
                 rhs,
             )
-            lhs = [
-                (be(d - 1, n), a, (n + 1) * a),
-                (neg(be(0, n)), a - 1, (n + 1) * (a - 1)),
-            ]
+            lhs = [be(d - 1, n, a, (n + 1) * a), be(0, n, a - 1, (n + 1) * (a - 1), -1)]
             if not over:
-                record("beta-wrap", d - 1, a, n, lhs, [(al_xq(0, n), a - 1, (a - 1) - n * w1)])
+                record("beta-wrap", d - 1, a, n, lhs, [al_xq(0, n, a - 1, (a - 1) - n * w1)])
             else:
-                base = [(al_xq(0, n), a - 1, (a - 1) - n * w1)]
-                printed = base + [(al_xq(0, n), a + w2, a - n * w2)]
-                corrected = base + [(al_xq(0, n), a, a - n * w2)]
-                lhs_built = _build_side(lhs, X, N)
-                printed_ok = lhs_built.first_difference(_build_side(printed, X, N)) is None
-                corrected_built = _build_side(corrected, X, N)
-                corrected_diff = lhs_built.first_difference(corrected_built)
+                base = [al_xq(0, n, a - 1, (a - 1) - n * w1)]
+                printed = base + [al_xq(0, n, a + w2, a - n * w2)]
+                corrected = base + [al_xq(0, n, a, a - n * w2)]
+                lhs_built = side(lhs)
+                printed_ok = lhs_built.first_difference(side(printed)) is None
+                corrected_diff = lhs_built.first_difference(side(corrected))
                 sweep.instances += 1
                 sweep.suspect_printed_ok = sweep.suspect_printed_ok and printed_ok
                 if corrected_diff is not None:
@@ -476,14 +504,12 @@ def verify_gf_functional_equation(
     valid tuple.  Returns None or the first differing coefficient.
     """
     X, N = x_order, trunc_order
-    lhs = _summand_span(k, d, s, a, flavor, X, N, False, 0, 0) - _summand_span(
-        k, d, (s + 1) % d, a - 1, flavor, X, N, False, 0, 0
-    )
-    c1 = k - a + 1 - s
-    rhs = _summand_span(k, d, 0, c1, flavor, X, N, True, a - 1, a - 1)
+    lhs = _span_terms(k, d, s, a, flavor, X, N, False, 0, 0)
+    lhs += _span_terms(k, d, (s + 1) % d, a - 1, flavor, X, N, False, 0, 0, coeff=-1)
+    rhs = _span_terms(k, d, 0, k - a + 1 - s, flavor, X, N, True, a - 1, a - 1)
     if flavor == OVER:
-        rhs = rhs + _summand_span(k, d, 0, k - a - s, flavor, X, N, True, a, a)
-    return lhs.first_difference(rhs)
+        rhs += _span_terms(k, d, 0, k - a - s, flavor, X, N, True, a, a)
+    return _sum_terms(lhs, X, N).first_difference(_sum_terms(rhs, X, N))
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +566,6 @@ def _theta_laurent(c: int, modulus: int, trunc: int) -> BiSeries:
     return BiSeries([row], 0, trunc, off)
 
 
-def _pre_bi(e_hi: int, e_lo: int, trunc: int) -> BiSeries:
-    # q^e_hi - q^e_lo as a univariate BiSeries
-    return BiSeries.monomial(1, 0, e_hi, 0, trunc) - BiSeries.monomial(
-        1, 0, e_lo, 0, trunc
-    )
-
-
 def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSeries]]:
     """Product combinations equal to the x = 1 specialization.
 
@@ -555,59 +574,45 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
     displayed forms evaluate to under the triple product identity).  Each
     form is a univariate (x_order 0) BiSeries so that parameter tuples whose
     specialization is a Laurent series are representable.
+
+    Each form is (q^e1 - q^e2) P1 + (1 - q^(d-s)) P2 over (1 - q^d)(q; q)_inf,
+    times (-q; q)_inf over, with P1, P2 triple products (displayed forms) or
+    theta sums.  The numerator is built as one Laurent row, then divided and
+    multiplied in place factor by factor: every factor is a power series with
+    constant term 1, so the row stays exact on its whole window.
     """
     N = trunc_order
     M = modulus(k, d, flavor)
-    inv_d = (PowerSeries.one(N) - PowerSeries.monomial(1, d, N)).invert_unit()
-    inv_euler = q_poch_inf(1, 1, 1, N).invert_unit()
-    lined = q_poch_inf(-1, 1, 1, N) if flavor == OVER else PowerSeries.one(N)
-    outer = inv_euler * lined
 
-    def tp(c: int) -> Optional[PowerSeries]:
+    def form(e1: int, e2: int, p1: BiSeries, p2: BiSeries) -> BiSeries:
+        off = min(p1.q_offset, p2.q_offset)
+        row = [0] * (N - off + 1)
+        for coeff, e, p in ((1, e1, p1), (-1, e2, p1), (1, 0, p2), (-1, d - s, p2)):
+            start = p.q_offset - off + e
+            row[start:] = [u + coeff * v for u, v in zip(row[start:], p.rows[0])]
+        for e in [d] + list(range(1, len(row))):
+            _divide_binomial([row], 0, e)
+        if flavor == OVER:
+            for e in range(1, len(row)):
+                row[e:] = [u + v for u, v in zip(row[e:], row)]
+        return BiSeries([row], 0, N, off)
+
+    def tp(c: int) -> Optional[BiSeries]:
         if c == 0:
-            return PowerSeries.zero(N)
+            return BiSeries.zero(0, N)
         if 1 <= c <= M:
-            return triple_product(c, M, N)
+            return BiSeries.from_power_series(triple_product(c, M, N), 0)
         return None
 
-    pre2 = (PowerSeries.one(N) - PowerSeries.monomial(1, d - s, N)) * inv_d
     forms: list[tuple[str, BiSeries]] = []
     second = tp(a + s)
     if a + s - d >= 0 and second is not None:
-        first = tp(a + s - d)
-        pre1 = (PowerSeries.monomial(1, d - s, N) - PowerSeries.monomial(1, d, N)) * inv_d
-        forms.append(
-            (
-                "shifted-argument form",
-                BiSeries.from_power_series((pre1 * first + pre2 * second) * outer, 0),
-            )
-        )
+        forms.append(("shifted-argument form", form(d - s, d, tp(a + s - d), second)))
     if d - a - s >= 0 and second is not None:
-        firstb = tp(d - a - s)
-        pre1b = (PowerSeries.monomial(1, a + s, N) - PowerSeries.monomial(1, a, N)) * inv_d
-        forms.append(
-            (
-                "reflected-argument form",
-                BiSeries.from_power_series((pre1b * firstb + pre2 * second) * outer, 0),
-            )
-        )
-
+        forms.append(("reflected-argument form", form(a + s, a, tp(d - a - s), second)))
     # bilateral-theta combination, valid for every parameter tuple
-    th1 = _theta_laurent(a + s - d, M, N)
-    th2 = _theta_laurent(a + s, M, N)
-    head = max(0, -th1.q_offset, -th2.q_offset)
-    big = N + head
-    th1 = _theta_laurent(a + s - d, M, big)
-    th2 = _theta_laurent(a + s, M, big)
-    combo = _pre_bi(d - s, d, big) * th1 + (
-        BiSeries.one(0, big) - BiSeries.monomial(1, 0, d - s, 0, big)
-    ) * th2
-    inv_d_bi = (BiSeries.one(0, big) - BiSeries.monomial(1, 0, d, 0, big)).invert_unit()
-    inv_euler_bi = poch_inf(1, 0, 1, 1, 0, big).invert_unit()
-    combo = combo * inv_d_bi * inv_euler_bi
-    if flavor == OVER:
-        combo = combo * poch_inf(-1, 0, 1, 1, 0, big)
-    forms.append(("bilateral-theta form", combo.truncated(N)))
+    theta = form(d - s, d, _theta_laurent(a + s - d, M, N), _theta_laurent(a + s, M, N))
+    forms.append(("bilateral-theta form", theta))
     return forms
 
 
@@ -648,17 +653,6 @@ class XOneCheck:
         return all(r[1] for r in self.results)
 
 
-def _x_one_laurent(f: BiSeries) -> BiSeries:
-    """Sum the x-rows without an ordinariness requirement (x_order 0)."""
-    width = f.trunc_order - f.q_offset + 1
-    row = [0] * width
-    for r in f.rows:
-        for i, c in enumerate(r):
-            if c:
-                row[i] += c
-    return BiSeries([row], 0, f.trunc_order, f.q_offset)
-
-
 def x_one_check(k, a, d, s, flavor, x_order, trunc_order) -> XOneCheck:
     """Evaluate the construction at x = 1 and compare with every form.
 
@@ -667,7 +661,7 @@ def x_one_check(k, a, d, s, flavor, x_order, trunc_order) -> XOneCheck:
     parameter tuple (ordinary or not) is checkable.
     """
     g = constructed_gf(k, a, d, s, flavor, x_order, trunc_order, require_ordinary=False)
-    ev = _x_one_laurent(g)
+    ev = sum_x_rows(g)
     bound = x_one_exact_bound(k, a, d, s, flavor, x_order, trunc_order)
     idc, _ = identification_conditions(k, a, d, s, flavor)
     grounded = identification_grounded(k, a, d, s, flavor)

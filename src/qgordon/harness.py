@@ -433,6 +433,11 @@ class SuiteConfig:
             raise ConfigError("flavor must be regular or over")
         if self.trunc_order < 1 or self.x_order < 1:
             raise ConfigError("truncation orders must be positive")
+        if "product-eval" in self.checks and self.trunc_order < self.x_order:
+            raise ConfigError(
+                f"product-eval needs trunc_order >= x_order (got N = {self.trunc_order}, "
+                f"X = {self.x_order}): the x = 1 comparison is exact only through q^(N-X)"
+            )
         if self.a_values is not None and any(v < 1 for v in self.a_values):
             raise ConfigError("a values must be at least 1")
         if self.s_values is not None and any(v < 0 for v in self.s_values):

@@ -252,18 +252,14 @@ class BiSeries:
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
-        off = min(self.q_offset, other.q_offset)
-        width = self.trunc_order - off + 1
+        lo, hi = (self, other) if self.q_offset <= other.q_offset else (other, self)
+        cut = hi.q_offset - lo.q_offset
         rows = []
-        for m in range(self.x_order + 1):
-            row = [0] * width
-            for src in (self, other):
-                base = src.q_offset - off
-                for i, c in enumerate(src.rows[m]):
-                    if c:
-                        row[base + i] += c
+        for a, b in zip(lo.rows, hi.rows):
+            row = list(a)
+            row[cut:] = [u + v for u, v in zip(a[cut:], b)]
             rows.append(row)
-        return BiSeries(rows, self.x_order, self.trunc_order, off)
+        return BiSeries(rows, self.x_order, self.trunc_order, lo.q_offset)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self.__add__(-other)
@@ -331,18 +327,26 @@ class BiSeries:
     def first_difference(self, other: "BiSeries"):
         """First (x_exp, q_exp, self_coeff, other_coeff) difference, or None.
 
-        Scanned in (q_exp, x_exp) order so the lowest differing q-power is
-        reported first.
+        Reported in (q_exp, x_exp) order, so the lowest differing q-power
+        comes first.  Whole rows are compared on the common window; only the
+        rows that differ are scanned, each no further than the best q-power
+        found so far.
         """
         self._check(other)
         lo = min(self.q_offset, other.q_offset)
-        for j in range(lo, self.trunc_order + 1):
-            for m in range(self.x_order + 1):
-                a = self.coefficient(m, j)
-                b = other.coefficient(m, j)
-                if a != b:
-                    return (m, j, a, b)
-        return None
+        pad_a = (0,) * (self.q_offset - lo)
+        pad_b = (0,) * (other.q_offset - lo)
+        best = None
+        for m, (a, b) in enumerate(zip(self.rows, other.rows)):
+            a, b = pad_a + a, pad_b + b
+            if a == b:
+                continue
+            stop = len(a) if best is None else best[1] - lo
+            for i, (u, v) in enumerate(zip(a[:stop], b)):
+                if u != v:
+                    best = (m, lo + i, u, v)
+                    break
+        return best
 
     def times_monomial(self, coeff: int, x_exp: int, q_exp: int) -> "BiSeries":
         """Multiply by coeff * x^x_exp * q^q_exp exactly.
@@ -553,6 +557,12 @@ def theta_bilateral(c: int, modulus: int, trunc_order: int) -> PowerSeries:
     return PowerSeries(coeffs, trunc_order)
 
 
+def sum_x_rows(f: BiSeries) -> BiSeries:
+    """Specialize x = 1 in Laurent space: the x-rows summed into one row
+    (x_order 0), with no ordinariness requirement."""
+    return BiSeries([[sum(col) for col in zip(*f.rows)]], 0, f.trunc_order, f.q_offset)
+
+
 def eval_x_one(f: BiSeries) -> XOneResult:
     """Specialize x = 1 by summing the x-rows.
 
@@ -565,14 +575,8 @@ def eval_x_one(f: BiSeries) -> XOneResult:
     """
     if not f.is_ordinary():
         raise OrdinarinessError("x = 1 specialization requires an ordinary series")
-    g = f.as_ordinary()
-    n = g.trunc_order
-    coeffs = [0] * (n + 1)
-    for row in g.rows:
-        for i, c in enumerate(row):
-            if c:
-                coeffs[i] += c
-    return XOneResult(PowerSeries(coeffs, n), n - g.x_order)
+    g = sum_x_rows(f).as_ordinary()
+    return XOneResult(PowerSeries(g.rows[0], g.trunc_order), g.trunc_order - f.x_order)
 
 
 def write_coefficients_csv(fileobj, series: Union[PowerSeries, BiSeries]) -> int:

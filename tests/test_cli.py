@@ -88,6 +88,17 @@ def test_cli_empty_grid_is_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_product_eval_needs_trunc_n_at_least_trunc_x(capsys):
+    # below X the x = 1 comparison bound N - X is negative: a configuration
+    # error, not 34 failures with mismatches at negative n
+    assert main(["--trunc-n", "1"]) == 2
+    assert "exact only through q^(N-X)" in capsys.readouterr().err
+    grid = ["--k", "2", "--d", "1"]
+    assert main(["--checks", "product-eval", *grid, "--trunc-n", "4", "--trunc-x", "5"]) == 2
+    assert main(["--checks", "product-eval", *grid, "--trunc-n", "5", "--trunc-x", "5"]) == 0
+    assert main(["--checks", "identities", *grid, "--trunc-n", "1"]) == 0
+
+
 def test_cli_empty_checks(capsys):
     assert main(["--checks", ""]) == 0
     assert "0 passed" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qgordon import counting
 from qgordon.counting import (
@@ -12,6 +12,7 @@ from qgordon.counting import (
     REGULAR,
     CountParams,
     FreqSolution,
+    RecurrenceOutcome,
     congruence_series,
     count_cong,
     count_mult,
@@ -25,7 +26,7 @@ from qgordon.counting import (
     verify_recurrence,
     write_count_table_csv,
 )
-from qgordon.harness import SuiteConfig, run_suite
+from qgordon.harness import SuiteConfig, check_recurrences, run_suite
 from qgordon.series import DomainError, PowerSeries, q_poch_inf, triple_product
 
 # the two worked examples used throughout: a partition of 21 with 8 parts and
@@ -380,6 +381,126 @@ def test_recurrence_sweep_small_grid():
                     for flavor in (REGULAR, OVER):
                         out = verify_recurrence(CountParams(k, a, d, s, flavor), 10, 10)
                         assert out.ok, (k, a, d, s, flavor, out)
+
+
+def reference_verify_recurrence(cp, m_max, n_max):
+    """The per-coefficient recurrence sweep: every counter read through
+    count_mult, one (m, n) at a time, n-major; the oracle for the row-level
+    verify_recurrence."""
+    k, a, d, s, flavor = cp.k, cp.a, cp.d, cp.s, cp.flavor
+    flags = {}
+
+    def counter(a2, s2, m, n):
+        if m < 0 or n < 0:
+            return 0
+        if a2 < 0:
+            flags["extension"] = True
+            return 0
+        if a2 == 0:
+            return 0
+        return counting.count_mult(CountParams(k, a2, d, s2 % d, flavor), m, n)
+
+    referenced = [(a, s), (a - 1, s + 1), (k - a + 1 - s, 0)]
+    if cp.is_over:
+        referenced.append((k - a - s, 0))
+    for a2, s2 in referenced:
+        if a2 > 0:
+            counting.count_table(CountParams(k, a2, d, s2 % d, flavor), max(m_max, n_max))
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            lhs = counter(a, s, m, n)
+            rhs = counter(a - 1, s + 1, m, n) + counter(k - a + 1 - s, 0, m - a + 1, n - m)
+            if cp.is_over:
+                rhs += counter(k - a - s, 0, m - a, n - m)
+            if lhs != rhs:
+                return RecurrenceOutcome(False, (m, n, lhs, rhs), "extension" in flags)
+    return RecurrenceOutcome(True, None, "extension" in flags)
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_params(), st.integers(0, 10), st.integers(0, 10))
+def test_recurrence_rows_match_per_coefficient_sweep(cp, m_max, n_max):
+    # a = 0 included: with s = 0 the stripped index is k + 1, which both
+    # sweeps reject with the same DomainError
+    assert outcome_or_error(verify_recurrence, cp, m_max, n_max) == outcome_or_error(
+        reference_verify_recurrence, cp, m_max, n_max
+    )
+
+
+corruptions = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.integers(0, 10), st.integers(0, 10), st.sampled_from((1, -1))
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(count_params(), st.integers(0, 10), st.integers(0, 10), corruptions)
+# the stripped index of (4, 4, 4, 3) is negative and first read at m = n = 3:
+# a mismatch at n = 2 stops the sweep before that read, one at n = 4 after it
+@example(CountParams(4, 4, 4, 3, REGULAR), 10, 10, [(0, 1, 2, 1)])
+@example(CountParams(4, 4, 4, 3, REGULAR), 10, 10, [(0, 1, 4, 1)])
+# two mismatches at one n: the sweep reports the lower m
+@example(CountParams(3, 2, 2, 1, REGULAR), 10, 10, [(0, 3, 5, 1), (0, 1, 5, -1)])
+def test_recurrence_mismatch_matches_per_coefficient_sweep(cp, m_max, n_max, corruptions):
+    # entries of the tables the sweep reads are corrupted, so that the
+    # mismatch path runs; an entry with m > n is structurally zero and never
+    # read by the per-coefficient sweep, so each corruption keeps m <= n
+    k, a, d, s, flavor = cp.k, cp.a, cp.d, cp.s, cp.flavor
+    targets = [(a, s), (a - 1, s + 1), (k - a + 1 - s, 0), (k - a - s, 0)]
+    plan = {}
+    for which, m, n, delta in corruptions:
+        a2, s2 = targets[which]
+        plan.setdefault((k, a2, d, s2 % d, flavor), []).append((min(m, n), max(m, n), delta))
+    real = counting.count_table
+    corrupted = {}
+
+    def corrupt_table(cp2, n_max2):
+        table = real(cp2, n_max2)
+        key = (cp2.k, cp2.a, cp2.d, cp2.s, cp2.flavor)
+        if key not in plan:
+            return table
+        held = corrupted.get((key, len(table)))
+        if held is None:
+            held = corrupted[key, len(table)] = [list(row) for row in table]
+            for m, n, delta in plan[key]:
+                if n < len(table):
+                    held[m][n] += delta
+        return held
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "count_table", corrupt_table)
+        assert outcome_or_error(verify_recurrence, cp, m_max, n_max) == outcome_or_error(
+            reference_verify_recurrence, cp, m_max, n_max
+        )
+
+
+def test_recurrence_check_reads_each_table_once(monkeypatch):
+    calls = []
+    real = counting.count_table
+
+    def counted(cp, n_max):
+        calls.append(cp)
+        return real(cp, n_max)
+
+    def no_count_mult(cp, m, n):
+        raise AssertionError("the recurrence check read a single coefficient")
+
+    monkeypatch.setattr(counting, "count_table", counted)
+    monkeypatch.setattr(counting, "count_mult", no_count_mult)
+    for cp in (CountParams(3, 2, 2, 1, OVER), CountParams(4, 4, 4, 3, REGULAR)):
+        calls.clear()
+        assert check_recurrences(cp, 12, 12).status == "pass"
+        assert 1 <= len(calls) <= 4
 
 
 # ---------------------------------------------------------------------------

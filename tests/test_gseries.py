@@ -177,6 +177,76 @@ def test_summand_miss_makes_no_kernel_call(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def reference_summand_span(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_q):
+    """The G-summand sum folded with BiSeries.__add__, one shifted and
+    substituted summand at a time: the oracle for the in-place _sum_terms."""
+    modulus = 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
+    n_monotone = max(s + a, d - s - a, 1) // modulus + 1
+    total = BiSeries.zero(x_order, trunc_order)
+    n = 0
+    while True:
+        t_alpha = mono_q - n * a
+        t_beta = mono_q + (n + 1 + (1 if at_xq else 0)) * a
+        base = modulus * n * (n + 1) // 2
+        minq_alpha = base - n * s + t_alpha
+        minq_beta = base - n * (d - s) + t_beta
+        if (k + 1 - d) * n + mono_x + min(0, a) > x_order:
+            break
+        if n >= n_monotone and minq_alpha > trunc_order and minq_beta > trunc_order:
+            break
+        if (k + 1 - d) * n + mono_x <= x_order and minq_alpha <= trunc_order:
+            f = alpha_series(k, d, s, n, flavor, x_order, trunc_order - min(t_alpha, 0))
+            if at_xq:
+                f = f.x_to_xq()
+            total = total + f.times_monomial(1, mono_x, t_alpha)
+        if (k + 1 - d) * n + mono_x + a <= x_order and minq_beta <= trunc_order:
+            f = beta_series(k, d, s, n, flavor, x_order, trunc_order - min(t_beta, 0))
+            if at_xq:
+                f = f.x_to_xq()
+            total = total + f.times_monomial(1, mono_x + a, t_beta)
+        n += 1
+    return total
+
+
+@st.composite
+def span_instances(draw):
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, k))
+    a = draw(st.integers(-2, k + 1))
+    return (
+        k,
+        d,
+        draw(st.integers(0, d - 1)),
+        a,
+        draw(st.sampled_from((REGULAR, OVER))),
+        draw(st.integers(0, 6)),
+        draw(st.integers(0, 20)),
+        draw(st.booleans()),
+        draw(st.integers(max(0, -a), 3)),
+        draw(st.integers(-4, 4)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_instances(), st.sampled_from((1, -1)))
+def test_summed_span_matches_add_fold(instance, coeff):
+    X, N = instance[5], instance[6]
+    got = gseries._sum_terms(gseries._span_terms(*instance, coeff=coeff), X, N)
+    want = reference_summand_span(*instance)
+    assert got == (want if coeff == 1 else -want)
+
+
+def test_constructed_gf_makes_no_add_call(monkeypatch):
+    def no_add(self, other):
+        raise AssertionError("constructed_gf added two BiSeries")
+
+    monkeypatch.setattr(BiSeries, "__add__", no_add)
+    for k, a, d, s, flavor in ((3, 2, 2, 1, REGULAR), (4, 4, 4, 3, REGULAR), (3, 3, 2, 1, OVER)):
+        constructed_gf(k, a, d, s, flavor, 8, 30, require_ordinary=False)
+        verify_gf_functional_equation(k, a, d, s, flavor, 5, 16)
+
+
+
 def test_constructed_gf_at_x_zero_is_one():
     # setting x = 0 keeps only the x^0 row, which must be the constant 1
     for flavor in (REGULAR, OVER):
@@ -376,6 +446,89 @@ def test_x_one_check_laurent_tuples():
         assert not chk.identified
         assert not chk.ordinary
         assert chk.ok, chk.results
+
+
+def reference_x_one_product_forms(k, a, d, s, flavor, trunc_order):
+    """The product forms built by multiplying out series inverses of
+    1 - q^d and (q; q)_inf: the oracle for the in-place divisions."""
+    N = trunc_order
+    M = 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
+    inv_d = (PowerSeries.one(N) - PowerSeries.monomial(1, d, N)).invert_unit()
+    inv_euler = q_poch_inf(1, 1, 1, N).invert_unit()
+    lined = q_poch_inf(-1, 1, 1, N) if flavor == OVER else PowerSeries.one(N)
+    outer = inv_euler * lined
+
+    def tp(c):
+        if c == 0:
+            return PowerSeries.zero(N)
+        if 1 <= c <= M:
+            return triple_product(c, M, N)
+        return None
+
+    def mono(e):
+        return PowerSeries.monomial(1, e, N)
+
+    pre2 = (PowerSeries.one(N) - mono(d - s)) * inv_d
+    forms = []
+    second = tp(a + s)
+    if a + s - d >= 0 and second is not None:
+        pre1 = (mono(d - s) - mono(d)) * inv_d
+        form = (pre1 * tp(a + s - d) + pre2 * second) * outer
+        forms.append(("shifted-argument form", BiSeries.from_power_series(form, 0)))
+    if d - a - s >= 0 and second is not None:
+        pre1b = (mono(a + s) - mono(a)) * inv_d
+        form = (pre1b * tp(d - a - s) + pre2 * second) * outer
+        forms.append(("reflected-argument form", BiSeries.from_power_series(form, 0)))
+    th1 = gseries._theta_laurent(a + s - d, M, N)
+    th2 = gseries._theta_laurent(a + s, M, N)
+    big = N + max(0, -th1.q_offset, -th2.q_offset)
+    th1 = gseries._theta_laurent(a + s - d, M, big)
+    th2 = gseries._theta_laurent(a + s, M, big)
+
+    def mono_bi(e):
+        return BiSeries.monomial(1, 0, e, 0, big)
+
+    combo = (mono_bi(d - s) - mono_bi(d)) * th1 + (BiSeries.one(0, big) - mono_bi(d - s)) * th2
+    combo = combo * (BiSeries.one(0, big) - mono_bi(d)).invert_unit()
+    combo = combo * poch_inf(1, 0, 1, 1, 0, big).invert_unit()
+    if flavor == OVER:
+        combo = combo * poch_inf(-1, 0, 1, 1, 0, big)
+    forms.append(("bilateral-theta form", combo.truncated(N)))
+    return forms
+
+
+@st.composite
+def form_instances(draw):
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, k))
+    return (
+        k,
+        draw(st.integers(0, k)),
+        d,
+        draw(st.integers(0, d - 1)),
+        draw(st.sampled_from((REGULAR, OVER))),
+        draw(st.integers(0, 30)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(form_instances())
+def test_x_one_forms_match_inversion_reference(instance):
+    got = x_one_product_forms(*instance)
+    want = reference_x_one_product_forms(*instance)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, g), (_, w) in zip(got, want):
+        assert g == w, label
+
+
+def test_x_one_forms_make_no_inversion(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("x_one_product_forms inverted a series")
+
+    monkeypatch.setattr(BiSeries, "invert_unit", no_inverse)
+    monkeypatch.setattr(PowerSeries, "invert_unit", no_inverse)
+    for k, a, d, s, flavor in ((3, 2, 2, 1, REGULAR), (4, 4, 4, 3, REGULAR), (3, 3, 3, 2, OVER)):
+        assert len(x_one_product_forms(k, a, d, s, flavor, 30)) >= 1
 
 
 def test_x_one_exact_bound_identified_vs_not():

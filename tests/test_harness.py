@@ -240,6 +240,15 @@ def test_config_validation():
         SuiteConfig(trunc_order=0)
 
 
+def test_config_rejects_product_eval_below_x_order():
+    with pytest.raises(ConfigError, match=r"q\^\(N-X\)"):
+        SuiteConfig(trunc_order=9, x_order=10)
+    with pytest.raises(ConfigError):
+        SuiteConfig(checks=("product-eval",), trunc_order=1, x_order=2)
+    SuiteConfig(trunc_order=10, x_order=10)
+    SuiteConfig(checks=("identities", "gf-match"), trunc_order=1, x_order=10)
+
+
 def test_csv_export(tmp_path):
     config = small_config(checks=("identities",), ks=(2,), ds=(1,), flavors=(REGULAR,))
     files = export_csv_tables(tmp_path, config)

@@ -107,6 +107,63 @@ def test_mismatched_truncation_raises():
         _ = PowerSeries.one(5) + PowerSeries.one(6)
 
 
+def reference_first_difference(f, g):
+    """Coefficient scan in (q_exp, x_exp) order: the oracle for the row-level
+    first_difference."""
+    for j in range(min(f.q_offset, g.q_offset), f.trunc_order + 1):
+        for m in range(f.x_order + 1):
+            a, b = f.coefficient(m, j), g.coefficient(m, j)
+            if a != b:
+                return (m, j, a, b)
+    return None
+
+
+@st.composite
+def biseries_pairs(draw):
+    """Two series on one window: unrelated, equal under ==, or differing in
+    several rows at one q-power; offsets mixed."""
+    x_order = draw(st.integers(0, 3))
+    trunc = draw(st.integers(0, 12))
+    coeff = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+    def series(off):
+        rows = [[draw(coeff) for _ in range(trunc - off + 1)] for _ in range(x_order + 1)]
+        return BiSeries(rows, x_order, trunc, off)
+
+    f = series(draw(st.integers(-4, trunc)))
+    kind = draw(st.sampled_from(("unrelated", "equal", "same-q-power")))
+    if kind == "unrelated":
+        return f, series(draw(st.integers(-4, trunc)))
+    pad = draw(st.integers(0, 3))
+    rows = [[0] * pad + list(row) for row in f.rows]
+    if kind == "same-q-power":
+        j = draw(st.integers(0, len(rows[0]) - 1))
+        for m in draw(st.sets(st.integers(0, x_order), min_size=1)):
+            rows[m][j] += draw(st.sampled_from((1, -1)))
+    return f, BiSeries(rows, x_order, trunc, f.q_offset - pad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(biseries_pairs())
+def test_first_difference_matches_coefficient_scan(pair):
+    f, g = pair
+    assert f.first_difference(g) == reference_first_difference(f, g)
+    assert g.first_difference(f) == reference_first_difference(g, f)
+    assert (f == g) == (reference_first_difference(f, g) is None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(biseries_pairs())
+def test_add_matches_coefficientwise_sum(pair):
+    f, g = pair
+    total = f + g
+    lo = min(f.q_offset, g.q_offset)
+    assert total.q_offset == lo
+    for m in range(f.x_order + 1):
+        for j in range(lo, f.trunc_order + 1):
+            assert total.coefficient(m, j) == f.coefficient(m, j) + g.coefficient(m, j)
+
+
 # ---------------------------------------------------------------------------
 # invert_unit
 # ---------------------------------------------------------------------------
