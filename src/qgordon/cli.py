@@ -10,7 +10,9 @@ failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from pathlib import Path
 from typing import Optional
 
 from .counting import OVER, REGULAR
@@ -104,6 +106,22 @@ def config_from_args(args) -> SuiteConfig:
     )
 
 
+def open_outputs(args):
+    """Create the --csv-dir directory and open the --out file for writing.
+
+    Done before any computation, so that an unusable path (a directory or a
+    missing parent for --out, a regular file on the way for --csv-dir) is a
+    configuration error and not a traceback after the whole run.  Returns
+    the open --out file, or None.
+    """
+    try:
+        if args.csv_dir:
+            Path(args.csv_dir).mkdir(parents=True, exist_ok=True)
+        return open(args.out, "w") if args.out else None
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def render_line(report) -> str:
     p = report.params
     bits = [f"{k}={p[k]}" for k in ("k", "a", "d", "s") if p.get(k) is not None]
@@ -124,23 +142,24 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        out = open_outputs(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    reports = run_suite(config)
-    for report in reports:
-        print(render_line(report))
-    counts = {
-        status: sum(1 for r in reports if r.status == status)
-        for status in ("pass", "fail", "skipped")
-    }
-    print(
-        f"{counts['pass']} passed, {counts['fail']} failed, "
-        f"{counts['skipped']} skipped"
-    )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(reports_to_json(reports) + "\n")
+    with out or contextlib.nullcontext():
+        reports = run_suite(config)
+        for report in reports:
+            print(render_line(report))
+        counts = {
+            status: sum(1 for r in reports if r.status == status)
+            for status in ("pass", "fail", "skipped")
+        }
+        print(
+            f"{counts['pass']} passed, {counts['fail']} failed, "
+            f"{counts['skipped']} skipped"
+        )
+        if out is not None:
+            out.write(reports_to_json(reports) + "\n")
     if args.csv_dir:
         written = export_csv_tables(args.csv_dir, config)
         print(f"wrote {len(written)} CSV files to {args.csv_dir}")

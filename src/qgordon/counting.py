@@ -25,6 +25,7 @@ idempotent, so concurrent use is safe.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -176,7 +177,7 @@ def satisfies_mult_conditions(sol: FreqSolution, cp: CountParams) -> bool:
 # ---------------------------------------------------------------------------
 
 _width_cache: dict[tuple[str, int], int] = {}
-_mask_cache: dict[tuple[int, int, int], int] = {}
+_mask_cache: dict[tuple[int, int, int, int], int] = {}
 _table_cache: dict[tuple[int, int, int, int, str], tuple[int, list[list[int]]]] = {}
 _totals_cache: dict[tuple[int, int, int, int, str], list[int]] = {}
 
@@ -204,15 +205,14 @@ def _slot_bits(flavor: str, n_max: int) -> int:
     return got
 
 
-def _weight_mask(n_max: int, limit: int, bits: int) -> int:
-    """All-ones slots (m, n) with n <= limit, for an (n_max+1)^2 grid."""
-    key = (n_max, limit, bits)
+def _weight_mask(stride: int, limit: int, rows: int, bits: int) -> int:
+    """All-ones slots (m, n) with m < rows and n <= limit, rows of stride slots."""
+    key = (stride, limit, rows, bits)
     got = _mask_cache.get(key)
     if got is None:
-        stride = n_max + 1
         row = (1 << (bits * (limit + 1))) - 1
         got = 0
-        for m in range(stride):
+        for m in range(rows):
             got |= row << (bits * stride * m)
         _mask_cache[key] = got
     return got
@@ -277,21 +277,25 @@ def _unpack_slots(total: int, n_slots: int, bits: int) -> list[int]:
     return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") for i in range(n_slots)]
 
 
-def _compute_table(cp: CountParams, n_max: int) -> list[list[int]]:
-    """Full table of counts by (number of parts, weight), both up to n_max.
+def _compute_table(cp: CountParams, n_max: int, parts: int) -> list[list[int]]:
+    """Table of counts by number of parts 0..parts and weight 0..n_max.
 
-    Slot (m, n) of the packed vector sits at m * (n_max + 1) + n.
+    Slot (m, n) of the packed vector sits at m * (n_max + 1) + n.  A move of
+    p parts of weight w keeps the slots with n + w <= n_max and m + p <= parts;
+    that is no more than n_max - w + 1 rows, since m parts weigh at least m.
     """
     stride = n_max + 1
     if cp.a <= 0:
-        return [[0] * stride for _ in range(stride)]
+        return [[0] * stride for _ in range(parts + 1)]
     bits = _slot_bits(cp.flavor, n_max)
 
     def move(packed: int, p: int, w: int) -> int:
-        return (packed & _weight_mask(n_max, n_max - w, bits)) << (bits * (p * stride + w))
+        limit = n_max - w
+        mask = _weight_mask(stride, limit, min(parts - p, limit) + 1, bits)
+        return (packed & mask) << (bits * (p * stride + w))
 
-    flat = _unpack_slots(_window_dp(cp, n_max, move), stride * stride, bits)
-    return [flat[m * stride : (m + 1) * stride] for m in range(stride)]
+    flat = _unpack_slots(_window_dp(cp, n_max, move), (parts + 1) * stride, bits)
+    return [flat[m * stride : (m + 1) * stride] for m in range(parts + 1)]
 
 
 def _compute_totals(cp: CountParams, n_max: int) -> list[int]:
@@ -307,15 +311,25 @@ def _compute_totals(cp: CountParams, n_max: int) -> list[int]:
     return _unpack_slots(_window_dp(cp, n_max, move), n_max + 1, bits)
 
 
-def count_table(cp: CountParams, n_max: int) -> list[list[int]]:
-    """Cached (parts, weight) count table; entry [m][n] counts solutions."""
+def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> list[list[int]]:
+    """Cached (parts, weight) count table; entry [m][n] counts solutions.
+
+    The parts bound: rows 0..parts (default n_max, every row that can be
+    nonzero) and weights 0..n_max are exact.  Any held table with at least
+    as many rows and weights serves the request, so the table returned may
+    be larger; a miss builds the larger of the held and requested bounds.
+    """
+    parts = n_max if parts is None else min(parts, n_max)
     key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
     cached = _table_cache.get(key)
-    if cached is None or cached[0] < n_max:
-        table = _compute_table(cp, n_max)
-        _table_cache[key] = (n_max, table)
-        return table
-    return cached[1]
+    if cached is not None:
+        held_n, table = cached
+        if held_n >= n_max and len(table) > parts:
+            return table
+        n_max, parts = max(n_max, held_n), max(parts, len(table) - 1)
+    table = _compute_table(cp, n_max, parts)
+    _table_cache[key] = (n_max, table)
+    return table
 
 
 def count_mult(cp: CountParams, m: int, n: int) -> int:
@@ -541,10 +555,12 @@ def verify_recurrence(cp: CountParams, m_max: int, n_max: int) -> RecurrenceOutc
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def min_admissible_weight(k: int, a: int, flavor: str, parts: int) -> int:
     """Minimum weight of any solution with `parts` parts meeting the window
     and first-part bounds (mod-d conditions ignored, so this is a lower bound
     for every s, d).  Returns a large sentinel when no solution exists.
+    A pure function of its arguments, so each distinct call runs the DP once.
     """
     over = flavor == OVER
     sentinel = 10**9

@@ -11,12 +11,15 @@ The two-parameter generating functions under test are built three ways:
 All three live in the truncated (x, q) ring of series.BiSeries.  The summand
 families contain q^(-n s) and q^(-n a) factors, so intermediate objects carry
 negative q-offsets; every builder takes the target truncation and internally
-computes with exactly the head room the shifts require.
+computes with at least the head room the shifts require.
 
 The summands are not multiplied out of their Pochhammer factors: their
 x-rows follow one by one from the first-order q-difference equation in x
-that those factors satisfy (see summand_series), so building one is a few
-row sweeps with no bivariate product.  Sums of shifted summands are added
+that those factors satisfy (see _build_summand), so building one is a few
+row sweeps with no bivariate product.  Each summand family is built once,
+on its support window, and kept at the deepest truncation asked for; alpha
+summands are asked with the head room of the largest lower index a <= k, so
+the a = 1..k sweep shares one build.  Sums of shifted summands are added
 in place into one row table (_sum_terms), not one BiSeries at a time.  The
 x = 1 product forms are likewise built as one Laurent row each and divided
 in place by (1 - q^d)(q; q)_inf, so no series is inverted.
@@ -78,6 +81,34 @@ def summand_series(
     matching the convention that makes the n = 0 recurrence instances assert
     a vanishing left-hand side.
 
+    Memo policy: one build per family (kind, k, d, s, n, flavor, x_order),
+    with no truncation in the key.  _summand_cache holds the deepest build
+    asked for so far; a request it covers is served from it, sliced with
+    truncated() to exactly trunc_order, and a deeper request rebuilds the
+    family and replaces it.  The result is always exact at trunc_order.
+    """
+    if kind not in ("alpha", "beta"):
+        raise DomainError(f"unknown summand kind {kind!r}")
+    if n == -1:
+        return BiSeries.zero(x_order, trunc_order)
+    if n < -1:
+        raise DomainError("summand index must be >= -1")
+    if not 0 <= s <= d - 1:
+        raise DomainError("s must satisfy 0 <= s <= d-1")
+    if (k + 1 - d) * n < 0:
+        raise DomainError("x-exponents must be non-negative")
+    key = (kind, k, d, s, n, flavor, x_order)
+    held = _summand_cache.get(key)
+    if held is None or held.trunc_order < trunc_order:
+        held = _summand_cache[key] = _build_summand(
+            kind, k, d, s, n, flavor, x_order, trunc_order
+        )
+    return held if held.trunc_order == trunc_order else held.truncated(trunc_order)
+
+
+def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
+    """One summand family at truncation trunc_order, for n >= 0.
+
     The x-dependence is built from a q-difference equation rather than from
     products.  H(x) = ((xq)^d; q^d)_inf / ((xq; q)_inf ((x q^(n+1))^d; q^d)_inf),
     times (-x q^(n+1); q)_inf for overpartitions, satisfies
@@ -90,31 +121,21 @@ def summand_series(
     (-q; q)_n over) folds in the x-free factors.  The summand is then
     (-1)^n x^((k+1-d)n) q^(M n(n+1)/2) H(x) times the alpha or beta bracket,
     divided by 1 - (xq)^d, negated for beta.  Every step multiplies by a
-    series without negative exponents or divides by 1 - x^a q^e, so building
-    on [0, trunc_order + shift] and shifting by q^(-shift) stays exact.
+    series without negative exponents or divides by 1 - x^a q^e, so nothing
+    is nonzero below q^(q0 - shift), q0 = M n(n+1)/2.  The rows are built on
+    that support window only, [0, trunc_order + shift - q0], and returned at
+    q-offset q0 - shift.
     """
-    if kind not in ("alpha", "beta"):
-        raise DomainError(f"unknown summand kind {kind!r}")
-    if n == -1:
-        return BiSeries.zero(x_order, trunc_order)
-    if n < -1:
-        raise DomainError("summand index must be >= -1")
-    if not 0 <= s <= d - 1:
-        raise DomainError("s must satisfy 0 <= s <= d-1")
-    key = (kind, k, d, s, n, flavor, x_order, trunc_order)
-    got = _summand_cache.get(key)
-    if got is not None:
-        return got
-
     over = flavor == OVER
     shift = n * s if kind == "alpha" else n * (d - s)
-    big = trunc_order + shift  # head room for the final q^(-shift)
+    q0 = _quadratic_weight(k, d, flavor, n)
+    top = trunc_order + shift - q0  # last q-exponent of the support window
     x0 = (k + 1 - d) * n
-    if x0 < 0:
-        raise DomainError("x-exponents must be non-negative")
+    if top < 0 or x0 > x_order:
+        return BiSeries.zero(x_order, trunc_order)
 
     # h_0 = 1/(q^d; q^d)_n, times (-q; q)_n over
-    h = [list(q_poch_finite(-1, 1, 1, n if over else 0, big).coeffs)]
+    h = [list(q_poch_finite(-1, 1, 1, n if over else 0, top).coeffs)]
     for j in range(1, n + 1):
         _divide_binomial(h, 0, d * j)
     # x^j coefficients of R and L as (j, coeff, q-exponent) monomials
@@ -123,7 +144,7 @@ def summand_series(
     if over:
         l_terms += [(1, 1, n + 1), (d + 1, -1, d + n + 1)]
     for m in range(1, x_order - x0 + 1):
-        acc = [0] * (big + 1)
+        acc = [0] * (top + 1)
         for j, c, e in r_terms:
             if j <= m:
                 acc[e:] = [u - c * v for u, v in zip(acc[e:], h[m - j])]
@@ -134,24 +155,21 @@ def summand_series(
         _divide_binomial([acc], 0, m)
         h.append(acc)
 
-    # (-1)^n x^x0 q^(M n(n+1)/2) times the bracket, as (coeff, x, q) monomials
+    # (-1)^n x^x0 times the bracket, as (coeff, x, q) monomials; q^q0 is the offset
     qdn = d * n
     if kind == "alpha":
         bracket = [(1, 0, 0), (-1, d - s, d - s), (1, d - s, qdn + d - s), (-1, d, qdn + d)]
     else:
         bracket = [(1, 0, 0), (-1, s, s), (1, s, qdn + s), (-1, d, qdn + d)]
     sign = (1 if n % 2 == 0 else -1) * (1 if kind == "alpha" else -1)
-    q0 = _quadratic_weight(k, d, flavor, n)
-    out = [[0] * (big + 1) for _ in range(x_order + 1)]
+    out = [[0] * (top + 1) for _ in range(x_order + 1)]
     for c, a, e in bracket:
         c *= sign
-        e += q0
         for m, row in enumerate(h[: max(x_order - x0 - a + 1, 0)]):
             dst = out[x0 + a + m]
             dst[e:] = [u + c * v for u, v in zip(dst[e:], row)]
     _divide_binomial(out, d, d)
-    got = _summand_cache[key] = BiSeries(out, x_order, trunc_order, -shift)
-    return got
+    return BiSeries(out, x_order, trunc_order, q0 - shift)
 
 
 def alpha_series(k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
@@ -174,8 +192,8 @@ def _sum_terms(terms, x_order, trunc_order) -> BiSeries:
     is added straight into one row table: the entry of f at x^m q^e lands at
     x^(m + mono_x) q^(e + mono_q + at_xq * m), and whatever lands past
     x_order or trunc_order is dropped.  That is exact because every f must be
-    built at trunc_order - min(mono_q, 0), so that it reaches trunc_order
-    after the shift.
+    built at trunc_order - min(mono_q, 0) or deeper, so that it reaches
+    trunc_order after the shift; a shallower f raises TruncationMismatch.
     """
     off = min([0] + [f.q_offset + mono_q for f, _, _, mono_q, _ in terms])
     width = trunc_order - off + 1
@@ -183,8 +201,8 @@ def _sum_terms(terms, x_order, trunc_order) -> BiSeries:
     for f, coeff, mono_x, mono_q, at_xq in terms:
         if mono_x < 0 or coeff not in (1, -1):
             raise DomainError("terms need mono_x >= 0 and coeff 1 or -1")
-        if f.x_order != x_order or f.trunc_order + min(mono_q, 0) != trunc_order:
-            raise TruncationMismatch("term built at the wrong truncation")
+        if f.x_order != x_order or f.trunc_order + min(mono_q, 0) < trunc_order:
+            raise TruncationMismatch("term built short of the truncation it needs")
         base = f.q_offset + mono_q - off
         for m, src in enumerate(f.rows[: max(x_order + 1 - mono_x, 0)]):
             e = base + (m if at_xq else 0)
@@ -194,6 +212,18 @@ def _sum_terms(terms, x_order, trunc_order) -> BiSeries:
             else:
                 dst[e:] = [u - v for u, v in zip(dst[e:], src)]
     return BiSeries(rows, x_order, trunc_order, off)
+
+
+def _summand_term(kind, k, d, s, n, flavor, x_order, trunc_order, mono_q) -> BiSeries:
+    """The summand of a (f, coeff, mono_x, mono_q, at_xq) term of _sum_terms,
+    deep enough to reach trunc_order after the q^mono_q shift.
+
+    An alpha summand is always asked at least n k deeper, the head room of
+    its q^(-n a) factor at the largest lower index a <= k, so that every
+    caller of one family (the a = 1..k sweep, the displays) shares one build.
+    """
+    head = -mono_q if kind == "beta" else max(-mono_q, n * k)
+    return summand_series(kind, k, d, s, n, flavor, x_order, trunc_order + max(head, 0))
 
 
 def _span_terms(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_q, coeff=1):
@@ -223,10 +253,10 @@ def _span_terms(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_q,
         if n >= n_monotone and minq_alpha > trunc_order and minq_beta > trunc_order:
             break
         if (k + 1 - d) * n + mono_x <= x_order and minq_alpha <= trunc_order:
-            f = alpha_series(k, d, s, n, flavor, x_order, trunc_order - min(t_alpha, 0))
+            f = _summand_term("alpha", k, d, s, n, flavor, x_order, trunc_order, t_alpha)
             terms.append((f, coeff, mono_x, t_alpha, at_xq))
         if (k + 1 - d) * n + mono_x + a <= x_order and minq_beta <= trunc_order:
-            f = beta_series(k, d, s, n, flavor, x_order, trunc_order - min(t_beta, 0))
+            f = _summand_term("beta", k, d, s, n, flavor, x_order, trunc_order, t_beta)
             terms.append((f, coeff, mono_x + a, t_beta, at_xq))
         n += 1
     return terms
@@ -256,13 +286,14 @@ def constructed_gf(
 
 
 def enumerated_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
-    """Generating function built directly from the counter tables."""
-    cp = CountParams(k, a, d, s, flavor)
-    table = count_table(cp, trunc_order)
-    rows = [
-        [table[m][n] if m <= n else 0 for n in range(trunc_order + 1)]
-        for m in range(x_order + 1)
-    ]
+    """Generating function built directly from the counter tables.
+
+    Only the parts rows 0..min(x_order, trunc_order) are read, so only those
+    are asked for; rows past trunc_order are zero (m parts weigh at least m).
+    """
+    parts = min(x_order, trunc_order)
+    table = count_table(CountParams(k, a, d, s, flavor), trunc_order, parts)
+    rows = [table[m][: trunc_order + 1] for m in range(parts + 1)]
     return BiSeries(rows, x_order, trunc_order)
 
 
@@ -365,10 +396,10 @@ def needed_trunc_order(k: int, d: int, n_max: int) -> int:
 
 def _build_side(k, d, flavor, parts, x_order, trunc_order):
     """Sum of (kind, s, n, coeff, mono_x, mono_q, at_xq) summand terms: each
-    summand is built with exact head room and added in place (_sum_terms)."""
+    summand is built with enough head room and added in place (_sum_terms)."""
     terms = [
         (
-            summand_series(kind, k, d, s, n, flavor, x_order, trunc_order - min(mono_q, 0)),
+            _summand_term(kind, k, d, s, n, flavor, x_order, trunc_order, mono_q),
             coeff,
             mono_x,
             mono_q,

@@ -526,14 +526,18 @@ def triple_product(c: int, modulus: int, trunc_order: int) -> PowerSeries:
 
     Requires 1 <= c <= M.  c = M makes the middle factor (q^0; q^M)_inf,
     whose first term (1 - 1) annihilates everything, so the result is 0.
+    Every factor 1 - q^e with e <= trunc_order of the three products is
+    multiplied into one row in place, as in poch_finite.
     """
     if not 1 <= c <= modulus:
         raise DomainError(f"c must satisfy 1 <= c <= {modulus}, got {c}")
     if c == modulus:
         return PowerSeries.zero(trunc_order)
-    out = q_poch_inf(1, c, modulus, trunc_order)
-    out = out * q_poch_inf(1, modulus - c, modulus, trunc_order)
-    return out * q_poch_inf(1, modulus, modulus, trunc_order)
+    row = [1] + [0] * trunc_order
+    for first in (c, modulus - c, modulus):
+        for e in range(first, trunc_order + 1, modulus):
+            row[e:] = [u - v for u, v in zip(row[e:], row)]
+    return PowerSeries(row, trunc_order)
 
 
 def theta_bilateral(c: int, modulus: int, trunc_order: int) -> PowerSeries:

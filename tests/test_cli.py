@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qgordon import cli
 from qgordon.cli import main, parse_checks, parse_range
 from qgordon.harness import CHECK_IDS, ConfigError
 
@@ -97,6 +98,25 @@ def test_cli_product_eval_needs_trunc_n_at_least_trunc_x(capsys):
     assert main(["--checks", "product-eval", *grid, "--trunc-n", "4", "--trunc-x", "5"]) == 2
     assert main(["--checks", "product-eval", *grid, "--trunc-n", "5", "--trunc-x", "5"]) == 0
     assert main(["--checks", "identities", *grid, "--trunc-n", "1"]) == 0
+
+
+def test_cli_unusable_output_path_is_config_error(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the suite ran before its outputs were opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("kept\n")
+    grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "8"]
+    for bad in (
+        ["--out", str(tmp_path)],  # a directory
+        ["--out", str(tmp_path / "missing" / "r.json")],  # a missing parent
+        ["--csv-dir", str(plain / "csv")],  # under a regular file
+        ["--csv-dir", str(plain)],  # a regular file
+    ):
+        assert main(grid + bad) == 2, bad
+        assert "configuration error: cannot write output" in capsys.readouterr().err
+    assert plain.read_text() == "kept\n"
 
 
 def test_cli_empty_checks(capsys):

@@ -26,8 +26,9 @@ from qgordon.counting import (
     verify_recurrence,
     write_count_table_csv,
 )
+from qgordon.gseries import enumerated_gf
 from qgordon.harness import SuiteConfig, check_recurrences, run_suite
-from qgordon.series import DomainError, PowerSeries, q_poch_inf, triple_product
+from qgordon.series import BiSeries, DomainError, PowerSeries, q_poch_inf, triple_product
 
 # the two worked examples used throughout: a partition of 21 with 8 parts and
 # an overpartition of 54 with 12 parts
@@ -200,6 +201,42 @@ def test_weight_only_dp_matches_table_and_brute_force(cp, n_max):
     assert totals == [sum(table[m][n] for m in range(n + 1)) for n in range(n_max + 1)]
     for n in range(min(n_max, 10) + 1):
         assert totals[n] == count_mult_brute(cp, None, n), (cp, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count_params(), st.integers(0, 25), st.integers(0, 25))
+def test_partial_table_is_the_first_rows_of_the_full_table(cp, n_max, parts):
+    parts = min(parts, n_max)
+    full = counting._compute_table(cp, n_max, n_max)
+    assert counting._compute_table(cp, n_max, parts) == full[: parts + 1]
+
+
+def test_held_table_serves_smaller_requests(monkeypatch):
+    built = []
+    compute_table = counting._compute_table
+
+    def spy_table(cp, n_max, parts):
+        built.append((n_max, parts))
+        return compute_table(cp, n_max, parts)
+
+    monkeypatch.setattr(counting, "_table_cache", {})
+    monkeypatch.setattr(counting, "_compute_table", spy_table)
+    cp = CountParams(3, 2, 2, 1, OVER)
+    full = count_table(cp, 20)
+    # a held full table serves enumerated_gf, which reads rows 0..X only
+    for x_order, trunc_order in ((6, 20), (6, 15), (25, 20)):
+        got = enumerated_gf(3, 2, 2, 1, OVER, x_order, trunc_order)
+        rows = [row[: trunc_order + 1] for row in full[: x_order + 1]]
+        assert got == BiSeries(rows, x_order, trunc_order)
+    assert built == [(20, 20)]
+    # a miss builds the larger of the held and requested bounds
+    assert len(count_table(cp, 24, 5)) == 21
+    assert count_table(cp, 22, 20) is count_table(cp, 24, 18)
+    assert built == [(20, 20), (24, 20)]
+    monkeypatch.setattr(counting, "_table_cache", {})
+    count_table(cp, 12, 3)
+    count_table(cp, 8, 6)
+    assert built[2:] == [(12, 3), (12, 6)]
 
 
 def test_weight_only_dp_is_exact_past_64_bits():
@@ -526,6 +563,17 @@ def test_min_admissible_weight_small_cases():
             default=None,
         )
         assert best == min_admissible_weight(k, a, OVER, p)
+
+
+def test_x_one_bounds_run_the_weight_dp_once_per_argument():
+    # the x-one grid (criteria 07/08); gf-match never asks for the bound
+    config = SuiteConfig(
+        checks=("product-eval",), ks=(2, 3, 4), ds=(1, 2, 3, 4), trunc_order=40, x_order=10
+    )
+    min_admissible_weight.cache_clear()
+    run_suite(config)
+    info = min_admissible_weight.cache_info()
+    assert (info.misses, info.hits + info.misses) == (18, 51)
 
 
 def test_count_table_csv():

@@ -27,6 +27,7 @@ from qgordon.series import (
     DomainError,
     OrdinarinessError,
     PowerSeries,
+    TruncationMismatch,
     eval_x_one,
     poch_inf,
     q_poch_finite,
@@ -172,6 +173,38 @@ def test_summand_miss_makes_no_kernel_call(monkeypatch):
     assert len(calls) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(summand_instances(), st.integers(1, 12))
+def test_summand_served_from_a_deeper_build(instance, extra):
+    *family, trunc_order = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gseries, "_summand_cache", {})
+        summand_series(*family, trunc_order + extra)
+        got = summand_series(*family, trunc_order)
+        mp.setattr(gseries, "_summand_cache", {})
+        fresh = summand_series(*family, trunc_order)
+    assert got.trunc_order == trunc_order
+    assert got == fresh == reference_summand(*instance)
+
+
+def test_a_sweep_builds_each_summand_family_once(monkeypatch):
+    built = []
+    build = gseries._build_summand
+
+    def counted(*args):
+        built.append(args[:-1])  # the family: every argument but the truncation
+        return build(*args)
+
+    monkeypatch.setattr(gseries, "_summand_cache", {})
+    monkeypatch.setattr(gseries, "_build_summand", counted)
+    for k, d, s, flavor in ((3, 2, 1, REGULAR), (4, 4, 3, REGULAR), (4, 2, 0, OVER)):
+        for a in range(1, k + 1):
+            constructed_gf(k, a, d, s, flavor, 10, 40, require_ordinary=False)
+            x_one_check(k, a, d, s, flavor, 10, 40)
+    assert built
+    assert len(built) == len(set(built)) == len(gseries._summand_cache)
+
+
 # ---------------------------------------------------------------------------
 # the constructed generating function
 # ---------------------------------------------------------------------------
@@ -234,6 +267,17 @@ def test_summed_span_matches_add_fold(instance, coeff):
     got = gseries._sum_terms(gseries._span_terms(*instance, coeff=coeff), X, N)
     want = reference_summand_span(*instance)
     assert got == (want if coeff == 1 else -want)
+
+
+def test_sum_terms_accepts_deeper_terms_only():
+    f = summand_series("alpha", 3, 2, 1, 2, REGULAR, 6, 20)
+    exact = gseries._sum_terms([(f.truncated(19), 1, 0, -4, True)], 6, 15)
+    assert gseries._sum_terms([(f, 1, 0, -4, True)], 6, 15) == exact
+    assert gseries._sum_terms([(f, -1, 1, -4, False)], 6, 16).trunc_order == 16
+    with pytest.raises(TruncationMismatch):
+        gseries._sum_terms([(f, 1, 0, -4, True)], 6, 17)
+    with pytest.raises(TruncationMismatch):
+        gseries._sum_terms([(f, 1, 0, 0, False)], 6, 21)
 
 
 def test_constructed_gf_makes_no_add_call(monkeypatch):

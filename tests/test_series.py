@@ -4,7 +4,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qgordon.series import (
     BiSeries,
@@ -311,6 +311,15 @@ def test_jacobi_triple_product_identity_grid():
     for modulus in range(1, 9):
         for c in range(1, modulus + 1):
             assert triple_product(c, modulus, n) == theta_bilateral(c, modulus, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(st.integers(1, m), st.just(m))), st.integers(0, 60))
+@example((7, 7), 60)
+@example((1, 1), 0)
+def test_triple_product_matches_bilateral_theta(c_and_modulus, trunc_order):
+    c, modulus = c_and_modulus
+    assert triple_product(c, modulus, trunc_order) == theta_bilateral(c, modulus, trunc_order)
 
 
 def test_triple_product_at_c_equals_modulus_is_zero():
