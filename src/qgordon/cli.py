@@ -47,12 +47,10 @@ def parse_range(text: str, name: str, allow_all: bool = False):
 
 
 def parse_checks(text: str):
+    """Parse a comma-separated check list.  "all" expands to every check id
+    and the other names are kept, so that SuiteConfig rejects an unknown one."""
     names = [t.strip() for t in text.split(",") if t.strip()]
-    if not names:
-        return ()
-    if "all" in names:
-        return CHECK_IDS
-    return tuple(names)
+    return tuple(dict.fromkeys(c for t in names for c in (CHECK_IDS if t == "all" else (t,))))
 
 
 def build_parser() -> argparse.ArgumentParser:

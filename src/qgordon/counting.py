@@ -14,9 +14,12 @@ Two independent routes are provided for the multiplicity-side counters:
 * a brute-force enumerator that generates every (over)partition and applies
   the membership predicate directly - the slow cross-check oracle.
 
-The congruence-side counters are computed by direct bounded-knapsack counting
-over the allowed part values, except for the product-defined exceptional case,
-which takes its coefficients from the triple product.
+The congruence-side counters are one coefficient row each (_parts_row),
+multiplied in place by 1 + q^v for each part v that may appear once
+(overlined) and divided by 1 - q^v for each part that may repeat; the
+product-defined exceptional case seeds the row with the triple product.  No
+series is multiplied or inverted.  The same row over every part gives the
+p(N) or p-bar(N) bound behind the DP slot width.
 
 All functions are pure; the memo tables are module-level dicts whose fills are
 idempotent, so concurrent use is safe.
@@ -29,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .series import PowerSeries, DomainError, q_poch_inf, triple_product
+from .series import PowerSeries, DomainError, div_binomial, mul_binomial, triple_product
 
 REGULAR = "regular"
 OVER = "over"
@@ -182,6 +185,19 @@ _table_cache: dict[tuple[int, int, int, int, str], tuple[int, list[list[int]]]] 
 _totals_cache: dict[tuple[int, int, int, int, str], list[int]] = {}
 
 
+def _parts_row(plain, lined, n_max: int, row: Optional[list[int]] = None) -> list[int]:
+    """Coefficients through q^n_max of row (default 1) times
+    prod_(v in lined) (1 + q^v) / prod_(v in plain) (1 - q^v): partitions
+    into any parts from plain plus distinct parts from lined.  The row is
+    multiplied and divided in place, one factor at a time."""
+    rows = [[1] + [0] * n_max if row is None else row]
+    for v in lined:
+        mul_binomial(rows, 0, v, 1)
+    for v in plain:
+        div_binomial(rows, 0, v)
+    return rows[0]
+
+
 def _slot_bits(flavor: str, n_max: int) -> int:
     """Slot width (bits, multiple of 8) that holds every DP count up to n_max.
 
@@ -194,13 +210,8 @@ def _slot_bits(flavor: str, n_max: int) -> int:
     key = (flavor, n_max)
     got = _width_cache.get(key)
     if got is None:
-        c = [1] + [0] * n_max
-        for v in range(1, n_max + 1):
-            if flavor == OVER:
-                for t in range(n_max, v - 1, -1):
-                    c[t] += c[t - v]
-            for t in range(v, n_max + 1):
-                c[t] += c[t - v]
+        every = range(1, n_max + 1)
+        c = _parts_row(every, every if flavor == OVER else (), n_max)
         got = _width_cache[key] = (max(c).bit_length() + 7) & ~7
     return got
 
@@ -412,22 +423,6 @@ def count_mult_brute(cp: CountParams, m: Optional[int], n: int) -> int:
 _cong_cache: dict[tuple[int, int, int, str], tuple[int, PowerSeries, bool]] = {}
 
 
-def _knapsack_counts(allowed: list[int], n_max: int) -> list[int]:
-    c = [1] + [0] * n_max
-    for v in allowed:
-        for t in range(v, n_max + 1):
-            c[t] += c[t - v]
-    return c
-
-
-def _distinct_counts(allowed: list[int], n_max: int) -> list[int]:
-    c = [1] + [0] * n_max
-    for v in allowed:
-        for t in range(n_max, v - 1, -1):
-            c[t] += c[t - v]
-    return c
-
-
 def congruence_series(
     k: int, d: int, c: int, flavor: str, trunc_order: int
 ) -> tuple[PowerSeries, bool]:
@@ -446,30 +441,22 @@ def congruence_series(
     """
     n = trunc_order
     M = modulus(k, d, flavor)
-    if flavor == REGULAR:
-        if 2 * c == M:
-            ps = triple_product(c, M, n) * q_poch_inf(1, 1, 1, n).invert_unit()
-            return ps, True
-        r = c % M
-        bad = {0, r, (M - r) % M}
-        allowed = [v for v in range(1, n + 1) if v % M not in bad]
-        return PowerSeries(_knapsack_counts(allowed, n), n), False
+    every = range(1, n + 1)
     if 2 * c == M:
+        if flavor == REGULAR:
+            row = _parts_row(every, (), n, list(triple_product(c, M, n).coeffs))
+            return PowerSeries(row, n), True
         if d % 2 == 0:
             raise DomainError(
                 "exceptional over case needs k + (1-d)/2 integral, so d must be odd"
             )
         kappa = k + (1 - d) // 2
-        allowed = [v for v in range(1, n + 1) if v % kappa != 0]
-        plain = _knapsack_counts(allowed, n)
-        lined = _distinct_counts(allowed, n)
-    else:
-        r = c % M
-        bad = {0, r, (M - r) % M}
-        allowed = [v for v in range(1, n + 1) if v % M not in bad]
-        plain = _knapsack_counts(allowed, n)
-        lined = _distinct_counts(list(range(1, n + 1)), n)
-    return PowerSeries(plain, n) * PowerSeries(lined, n), False
+        allowed = [v for v in every if v % kappa != 0]
+        return PowerSeries(_parts_row(allowed, allowed, n), n), False
+    r = c % M
+    bad = {0, r, (M - r) % M}
+    allowed = [v for v in every if v % M not in bad]
+    return PowerSeries(_parts_row(allowed, every if flavor == OVER else (), n), n), False
 
 
 def count_cong(cp: CountParams, n: int) -> int:

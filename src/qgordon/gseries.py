@@ -44,8 +44,11 @@ from .series import (
     BiSeries,
     DomainError,
     TruncationMismatch,
+    div_binomial,
+    mul_binomial,
     q_poch_finite,
     sum_x_rows,
+    theta_laurent,
     triple_product,
 )
 
@@ -55,19 +58,6 @@ _summand_cache: dict = {}
 def _quadratic_weight(k: int, d: int, flavor: str, n: int) -> int:
     """Exponent of the pure q-power in the n-th summand: grows quadratically."""
     return modulus(k, d, flavor) * n * (n + 1) // 2
-
-
-def _divide_binomial(rows: list[list[int]], a: int, e: int) -> None:
-    """Divide the table by 1 - x^a q^e in place, (a, e) != (0, 0).
-
-    Row m gains q^e times row m - a, with rows and then q-exponents swept
-    upward so that every row read already holds the quotient.
-    """
-    for m in range(a, len(rows)):
-        dst, src = rows[m], rows[m - a]
-        for t in range(e, len(dst)):
-            if src[t - e]:
-                dst[t] += src[t - e]
 
 
 def summand_series(
@@ -137,7 +127,7 @@ def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
     # h_0 = 1/(q^d; q^d)_n, times (-q; q)_n over
     h = [list(q_poch_finite(-1, 1, 1, n if over else 0, top).coeffs)]
     for j in range(1, n + 1):
-        _divide_binomial(h, 0, d * j)
+        div_binomial(h, 0, d * j)
     # x^j coefficients of R and L as (j, coeff, q-exponent) monomials
     r_terms = [(1, -1, 1), (d, -1, d * (n + 1)), (d + 1, 1, d * (n + 1) + 1)]
     l_terms = [(d, -1, d)]
@@ -152,7 +142,7 @@ def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
             if j <= m:
                 e += m - j
                 acc[e:] = [u + c * v for u, v in zip(acc[e:], h[m - j])]
-        _divide_binomial([acc], 0, m)
+        div_binomial([acc], 0, m)
         h.append(acc)
 
     # (-1)^n x^x0 times the bracket, as (coeff, x, q) monomials; q^q0 is the offset
@@ -168,7 +158,7 @@ def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
         for m, row in enumerate(h[: max(x_order - x0 - a + 1, 0)]):
             dst = out[x0 + a + m]
             dst[e:] = [u + c * v for u, v in zip(dst[e:], row)]
-    _divide_binomial(out, d, d)
+    div_binomial(out, d, d)
     return BiSeries(out, x_order, trunc_order, q0 - shift)
 
 
@@ -568,6 +558,13 @@ def identification_grounded(k, a, d, s, flavor) -> bool:
     with the index sum non-increasing, so only the initial sum matters.
     The over flavor also uses the k-a-s index, hence the tighter bound;
     tuples failing this are exactly where the identification breaks.
+
+    For a regular tuple, "identified and not grounded" holds exactly when
+    d | 2(k+1) and 2(a+s) = 2k+2+d.  Indeed t = a+s-k-1 then satisfies
+    0 < t <= d-2 (a <= k, s <= d-1) and d | 2t, so 2t = d; conversely
+    2(a+s) = 2k+2+d gives d | 2(a+s) and a+s > k+1.  So the regular tuples
+    that fail this are the ones the identities' verbatim side condition
+    2(a+s) != 2k+2+d excludes.
     """
     if flavor == REGULAR:
         return a + s <= k + 1
@@ -577,24 +574,6 @@ def identification_grounded(k, a, d, s, flavor) -> bool:
 # ---------------------------------------------------------------------------
 # x = 1 specialization versus the triple products
 # ---------------------------------------------------------------------------
-
-
-def _theta_laurent(c: int, modulus: int, trunc: int) -> BiSeries:
-    """Bilateral theta sum as a univariate Laurent object (x_order 0)."""
-    terms: dict[int, int] = {}
-    for sign in (1, -1):
-        n = 0 if sign == 1 else -1
-        while True:
-            e = modulus * n * (n - 1) // 2 + c * n
-            if e > trunc:
-                break
-            terms[e] = terms.get(e, 0) + (1 if n % 2 == 0 else -1)
-            n += sign
-    off = min([e for e in terms] + [0])
-    row = [0] * (trunc - off + 1)
-    for e, v in terms.items():
-        row[e - off] += v
-    return BiSeries([row], 0, trunc, off)
 
 
 def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSeries]]:
@@ -622,10 +601,10 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
             start = p.q_offset - off + e
             row[start:] = [u + coeff * v for u, v in zip(row[start:], p.rows[0])]
         for e in [d] + list(range(1, len(row))):
-            _divide_binomial([row], 0, e)
+            div_binomial([row], 0, e)
         if flavor == OVER:
             for e in range(1, len(row)):
-                row[e:] = [u + v for u, v in zip(row[e:], row)]
+                mul_binomial([row], 0, e, 1)
         return BiSeries([row], 0, N, off)
 
     def tp(c: int) -> Optional[BiSeries]:
@@ -642,7 +621,7 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
     if d - a - s >= 0 and second is not None:
         forms.append(("reflected-argument form", form(a + s, a, tp(d - a - s), second)))
     # bilateral-theta combination, valid for every parameter tuple
-    theta = form(d - s, d, _theta_laurent(a + s - d, M, N), _theta_laurent(a + s, M, N))
+    theta = form(d - s, d, theta_laurent(a + s - d, M, N), theta_laurent(a + s, M, N))
     forms.append(("bilateral-theta form", theta))
     return forms
 

@@ -300,27 +300,20 @@ def check_main_identity(
     params = _tuple_params(k, a, d, s, flavor, None, n_max)
     notes = [f"side condition evaluated: {'corrected' if alt_condition else 'verbatim'}"]
 
-    if flavor == REGULAR:
-        if (2 * (a + s)) % d != 0 or (2 * (k + 1)) % d != 0:
+    if not gseries.identification_conditions(k, a, d, s, flavor)[0]:
+        if flavor == REGULAR:
+            reason = f"2(a+s) or 2(k+1) not divisible by d = {d}"
+        else:
+            reason = "over flavor needs d in {1, 2}"
+        return CheckReport("identities", params, "skipped", reason=reason)
+    if flavor == REGULAR and s != 0:
+        guard = 2 * k + 2 - d if alt_condition else 2 * k + 2 + d
+        if 2 * (a + s) == guard:
             return CheckReport(
                 "identities",
                 params,
                 "skipped",
-                reason=f"2(a+s) or 2(k+1) not divisible by d = {d}",
-            )
-        if s != 0:
-            guard = 2 * k + 2 - d if alt_condition else 2 * k + 2 + d
-            if 2 * (a + s) == guard:
-                return CheckReport(
-                    "identities",
-                    params,
-                    "skipped",
-                    reason=f"2(a+s) = {2 * (a + s)} hits the excluded value {guard}",
-                )
-    else:
-        if d not in (1, 2):
-            return CheckReport(
-                "identities", params, "skipped", reason=f"over flavor needs d in {{1, 2}}"
+                reason=f"2(a+s) = {2 * (a + s)} hits the excluded value {guard}",
             )
 
     def run():

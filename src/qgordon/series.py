@@ -16,6 +16,8 @@ silently re-truncating.
 
 Every value is immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
+The row primitives mul_binomial and div_binomial are the exception: they
+update a caller's own list-of-rows table in place.
 """
 
 from __future__ import annotations
@@ -445,6 +447,36 @@ class BiSeries:
         return BiSeries(g_rows, self.x_order, n, 0)
 
 
+def mul_binomial(rows: list[list[int]], a: int, e: int, c: int) -> None:
+    """Multiply the table by 1 + c x^a q^e in place.
+
+    rows[m][t] is the coefficient of x^m q^t.  Row m gains c q^e times row
+    m - a, with the rows swept from the top down so that every row read
+    still holds the old product (at a = 0 each row is rebuilt from its old
+    self in one pass).  A factor beyond the window changes nothing.
+    """
+    for m in range(len(rows) - 1, a - 1, -1):
+        dst, src = rows[m], rows[m - a]
+        dst[e:] = [u + c * v for u, v in zip(dst[e:], src)]
+
+
+def div_binomial(rows: list[list[int]], a: int, e: int) -> None:
+    """Divide the table by 1 - x^a q^e in place, (a, e) != (0, 0).
+
+    Row m gains q^e times row m - a, with the rows (and, at a = 0, the
+    q-exponents) swept upward so that every entry read already holds the
+    quotient.
+    """
+    if a == 0:
+        for row in rows:
+            for t in range(e, len(row)):
+                row[t] += row[t - e]
+        return
+    for m in range(a, len(rows)):
+        dst, src = rows[m], rows[m - a]
+        dst[e:] = [u + v for u, v in zip(dst[e:], src)]
+
+
 def poch_finite(
     coeff: int,
     x_exp: int,
@@ -459,9 +491,7 @@ def poch_finite(
     The finite product (1 - z)(1 - z q^step) ... (1 - z q^(step*(n-1))),
     truncated to the (x_order, trunc_order) window.  n = 0 gives 1.  Both
     x_exp and q_exp must be at least 0, as in poch_inf; a negative exponent
-    raises DomainError.  Each factor 1 - z q^(step*j) is multiplied in place: row m loses
-    coeff * q^e times row m - x_exp, with the rows swept from the top down
-    so that every row read still holds the previous partial product.
+    raises DomainError.  Each factor is multiplied in place (mul_binomial).
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -472,10 +502,7 @@ def poch_finite(
     rows = [[0] * (trunc_order + 1) for _ in range(x_order + 1)]
     rows[0][0] = 1
     for j in range(n):
-        e = q_exp + step * j  # a factor beyond the window sweeps nothing
-        for m in range(x_order, x_exp - 1, -1):
-            dst, src = rows[m], rows[m - x_exp]
-            dst[e:] = [u - coeff * v for u, v in zip(dst[e:], src)]
+        mul_binomial(rows, x_exp, q_exp + step * j, -coeff)
     return BiSeries(rows, x_order, trunc_order)
 
 
@@ -527,38 +554,52 @@ def triple_product(c: int, modulus: int, trunc_order: int) -> PowerSeries:
     Requires 1 <= c <= M.  c = M makes the middle factor (q^0; q^M)_inf,
     whose first term (1 - 1) annihilates everything, so the result is 0.
     Every factor 1 - q^e with e <= trunc_order of the three products is
-    multiplied into one row in place, as in poch_finite.
+    multiplied into one row in place (mul_binomial).
     """
     if not 1 <= c <= modulus:
         raise DomainError(f"c must satisfy 1 <= c <= {modulus}, got {c}")
     if c == modulus:
         return PowerSeries.zero(trunc_order)
-    row = [1] + [0] * trunc_order
+    rows = [[1] + [0] * trunc_order]
     for first in (c, modulus - c, modulus):
         for e in range(first, trunc_order + 1, modulus):
-            row[e:] = [u - v for u, v in zip(row[e:], row)]
-    return PowerSeries(row, trunc_order)
+            mul_binomial(rows, 0, e, -1)
+    return PowerSeries(rows[0], trunc_order)
 
 
-def theta_bilateral(c: int, modulus: int, trunc_order: int) -> PowerSeries:
+def theta_laurent(c: int, modulus: int, trunc_order: int) -> BiSeries:
     """Bilateral alternating theta sum over all integers n of
     (-1)^n q^(M n(n-1)/2 + c n), truncated; M = modulus.
 
-    By the Jacobi triple product identity this equals triple_product(c, M)
-    for 1 <= c <= M; it is the independent oracle for that routine.
+    A univariate (x_order 0) Laurent object, so that any c is allowed; its
+    q-offset is the least exponent reached, or 0.  By the Jacobi triple
+    product identity this equals triple_product(c, M) for 1 <= c <= M; it
+    is the independent oracle for that routine.
     """
-    coeffs = [0] * (trunc_order + 1)
+    if modulus < 1:
+        raise DomainError("modulus must be at least 1")
+    terms: dict[int, int] = {}
     for sign in (1, -1):
         n = 0 if sign == 1 else -1
         while True:
             e = modulus * n * (n - 1) // 2 + c * n
             if e > trunc_order:
                 break
-            if e < 0:
-                raise DomainError("theta sum has a negative exponent at these parameters")
-            coeffs[e] += 1 if n % 2 == 0 else -1
+            terms[e] = terms.get(e, 0) + (1 if n % 2 == 0 else -1)
             n += sign
-    return PowerSeries(coeffs, trunc_order)
+    off = min([0, *terms])
+    row = [0] * (trunc_order - off + 1)
+    for e, v in terms.items():
+        row[e - off] += v
+    return BiSeries([row], 0, trunc_order, off)
+
+
+def theta_bilateral(c: int, modulus: int, trunc_order: int) -> PowerSeries:
+    """theta_laurent as a PowerSeries; DomainError if an exponent is negative."""
+    theta = theta_laurent(c, modulus, trunc_order)
+    if theta.q_offset < 0:
+        raise DomainError("theta sum has a negative exponent at these parameters")
+    return PowerSeries(theta.rows[0], trunc_order)
 
 
 def sum_x_rows(f: BiSeries) -> BiSeries:

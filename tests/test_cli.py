@@ -25,6 +25,11 @@ def test_parse_checks():
     assert parse_checks("all") == CHECK_IDS
     assert parse_checks("identities, gf-match") == ("identities", "gf-match")
     assert parse_checks("") == ()
+    # "all" expands in place and the other names are kept
+    assert parse_checks("all,bogus") == CHECK_IDS + ("bogus",)
+    assert parse_checks("identities,all") == ("identities",) + tuple(
+        c for c in CHECK_IDS if c != "identities"
+    )
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -78,6 +83,9 @@ def test_cli_failure_exit_code(tmp_path):
 def test_cli_config_error_exit_code(capsys):
     assert main(["--checks", "nonsense"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # an unknown name next to "all" is still an error, not a full run
+    assert main(["--checks", "all,bogus"]) == 2
+    assert "unknown checks: bogus" in capsys.readouterr().err
     assert main(["--k", "1..0"]) == 2
 
 

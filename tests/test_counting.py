@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qgordon import counting
+from qgordon import _packing, counting
 from qgordon.counting import (
     OVER,
     REGULAR,
@@ -361,6 +361,27 @@ def test_congruence_series_exceptional_regular_is_product_defined():
     assert special
     expected = triple_product(3, 6, 20) * q_poch_inf(1, 1, 1, 20).invert_unit()
     assert series == expected
+
+
+def test_congruence_series_uses_no_ring_product(monkeypatch):
+    # the congruence side is built as rows; the product tests above stay
+    # independent oracles because they alone multiply and invert series
+    def forbidden(*args, **kwargs):
+        raise AssertionError("congruence_series used the series ring")
+
+    monkeypatch.setattr(_packing, "multiply_tables", forbidden)
+    monkeypatch.setattr(PowerSeries, "invert_unit", forbidden)
+    monkeypatch.setattr(BiSeries, "invert_unit", forbidden)
+    cases = [
+        (2, 1, 1, REGULAR, False),
+        (3, 2, 3, REGULAR, True),  # 2c = 2k+2-d: product-defined
+        (2, 1, 1, OVER, False),
+        (3, 1, 3, OVER, False),  # 2c = 2k+1-d: parts avoid multiples of k
+    ]
+    for k, d, c, flavor, special in cases:
+        series, got_special = congruence_series(k, d, c, flavor, 40)
+        assert got_special == special
+        assert series.coefficient(0) == 1
 
 
 def test_congruence_over_exceptional_needs_odd_d():

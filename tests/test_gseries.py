@@ -33,6 +33,7 @@ from qgordon.series import (
     q_poch_finite,
     q_poch_inf,
     theta_bilateral,
+    theta_laurent,
     triple_product,
 )
 
@@ -523,11 +524,11 @@ def reference_x_one_product_forms(k, a, d, s, flavor, trunc_order):
         pre1b = (mono(a + s) - mono(a)) * inv_d
         form = (pre1b * tp(d - a - s) + pre2 * second) * outer
         forms.append(("reflected-argument form", BiSeries.from_power_series(form, 0)))
-    th1 = gseries._theta_laurent(a + s - d, M, N)
-    th2 = gseries._theta_laurent(a + s, M, N)
+    th1 = theta_laurent(a + s - d, M, N)
+    th2 = theta_laurent(a + s, M, N)
     big = N + max(0, -th1.q_offset, -th2.q_offset)
-    th1 = gseries._theta_laurent(a + s - d, M, big)
-    th2 = gseries._theta_laurent(a + s, M, big)
+    th1 = theta_laurent(a + s - d, M, big)
+    th2 = theta_laurent(a + s, M, big)
 
     def mono_bi(e):
         return BiSeries.monomial(1, 0, e, 0, big)
@@ -645,3 +646,20 @@ def test_identification_condition_strings():
     assert not ok and "2(a+s)" in why
     ok, why = identification_conditions(3, 2, 3, 0, OVER)
     assert not ok and "d in {1, 2}" in why
+
+
+def test_regular_escape_family_is_identified_and_not_grounded():
+    # "identified and not grounded" <=> d | 2(k+1) and 2(a+s) = 2k+2+d,
+    # exhaustively for k <= 12 (see the identification_grounded docstring)
+    family = []
+    for k in range(2, 13):
+        for d in range(1, k + 1):
+            for s in range(d):
+                for a in range(0, k + 1):
+                    identified, _ = identification_conditions(k, a, d, s, REGULAR)
+                    escapes = identified and not identification_grounded(k, a, d, s, REGULAR)
+                    stated = (2 * (k + 1)) % d == 0 and 2 * (a + s) == 2 * k + 2 + d
+                    assert escapes == stated, (k, a, d, s)
+                    if escapes and k <= 8:
+                        family.append((k, a, d, s))
+    assert sorted(family) == [(5, 5, 4, 3), (7, 7, 4, 3), (8, 7, 6, 5), (8, 8, 6, 4)]

@@ -67,12 +67,16 @@ def test_shape_selection_spec_tuple():
 
 
 def test_identity_skip_reasons():
-    report = check_main_identity(3, 1, 3, 1, REGULAR, 10)
-    assert report.status == "skipped"
-    assert "divisible" in report.reason
-    report = check_main_identity(3, 1, 3, 1, OVER, 10)
-    assert report.status == "skipped"
-    assert "d in {1, 2}" in report.reason
+    # the reasons are part of the canonical report, so they are pinned exactly
+    reasons = {
+        (3, 1, 3, 1, REGULAR, False): "2(a+s) or 2(k+1) not divisible by d = 3",
+        (3, 1, 3, 1, OVER, False): "over flavor needs d in {1, 2}",
+        (5, 5, 4, 3, REGULAR, False): "2(a+s) = 16 hits the excluded value 16",
+        (5, 3, 4, 1, REGULAR, True): "2(a+s) = 8 hits the excluded value 8",
+    }
+    for (k, a, d, s, flavor, alt), reason in reasons.items():
+        report = check_main_identity(k, a, d, s, flavor, 10, alt_condition=alt)
+        assert (report.status, report.reason) == ("skipped", reason)
 
 
 def test_verbatim_condition_is_load_bearing():
@@ -130,6 +134,27 @@ def test_check_gf_match_statuses():
     assert failed.status == "fail"
     assert failed.first_mismatch["lhs"] == "-1"
     assert any("leaves the index range" in n for n in failed.notes)
+
+
+def test_regular_escape_family_fails_gf_match_by_design():
+    # (5, 5, 4, 3) is identified but not grounded: gf-match fails with the
+    # expected-failure note, identities skips it under the verbatim side
+    # condition, and closure stays green
+    config = SuiteConfig(
+        checks=("gf-match", "identities"),
+        ks=(5,),
+        ds=(4,),
+        a_values=(5,),
+        s_values=(3,),
+        flavors=(REGULAR,),
+    )
+    reports = {r.check_id: r for r in run_suite(config)}
+    assert set(reports) == {"gf-match", "identities", "closure"}
+    match = reports["gf-match"]
+    assert match.status == "fail"
+    assert any("identification expected to fail" in n for n in match.notes)
+    assert reports["identities"].status == "skipped"
+    assert reports["closure"].status == "pass"
 
 
 def test_check_product_eval_report():

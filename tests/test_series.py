@@ -12,12 +12,15 @@ from qgordon.series import (
     OrdinarinessError,
     PowerSeries,
     TruncationMismatch,
+    div_binomial,
     eval_x_one,
+    mul_binomial,
     poch_finite,
     poch_inf,
     q_poch_finite,
     q_poch_inf,
     theta_bilateral,
+    theta_laurent,
     triple_product,
     write_coefficients_csv,
 )
@@ -289,6 +292,46 @@ def test_poch_inf_rejects_constant():
 
 
 # ---------------------------------------------------------------------------
+# in-place row sweeps by 1 + c x^a q^e and 1 - x^a q^e
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def binomial_instances(draw):
+    x_order = draw(st.integers(0, 5))
+    trunc_order = draw(st.integers(0, 30))
+    row = st.lists(st.integers(-50, 50), min_size=trunc_order + 1, max_size=trunc_order + 1)
+    rows = draw(st.lists(row, min_size=x_order + 1, max_size=x_order + 1))
+    a = draw(st.integers(0, 3))
+    e = draw(st.integers(0, trunc_order))
+    c = draw(st.integers(-2, 2))
+    return rows, x_order, trunc_order, a, e, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(binomial_instances())
+@example(([[1, 2, 3]], 0, 2, 0, 0, 2))  # a = e = 0: the factor is the constant 1 + c
+@example(([[1, 0], [0, 1]], 1, 1, 3, 1, 1))  # a > x_order: the factor is 1 on the window
+def test_binomial_sweeps_match_the_kernel(instance):
+    rows, X, N, a, e, c = instance
+    original = BiSeries(rows, X, N)
+
+    def binomial(coeff):
+        return BiSeries.one(X, N) + BiSeries.monomial(coeff, a, e, X, N)
+
+    got = [list(r) for r in rows]
+    mul_binomial(got, a, e, c)
+    assert BiSeries(got, X, N) == original * binomial(c)
+    if (a, e) == (0, 0):
+        return
+    quotient = [list(r) for r in rows]
+    div_binomial(quotient, a, e)
+    assert BiSeries(quotient, X, N) * binomial(-1) == original
+    mul_binomial(quotient, a, e, -1)
+    assert quotient == rows
+
+
+# ---------------------------------------------------------------------------
 # triple products and theta sums
 # ---------------------------------------------------------------------------
 
@@ -320,6 +363,25 @@ def test_jacobi_triple_product_identity_grid():
 def test_triple_product_matches_bilateral_theta(c_and_modulus, trunc_order):
     c, modulus = c_and_modulus
     assert triple_product(c, modulus, trunc_order) == theta_bilateral(c, modulus, trunc_order)
+
+
+def test_theta_rejects_modulus_below_one():
+    # at modulus 0 the exponents M n(n-1)/2 + c n need not grow, so the walk
+    # would not end; it is refused before it starts
+    for c, modulus in ((0, 0), (1, 0), (2, -1)):
+        with pytest.raises(DomainError):
+            theta_bilateral(c, modulus, 5)
+        with pytest.raises(DomainError):
+            theta_laurent(c, modulus, 5)
+
+
+def test_theta_laurent_keeps_negative_exponents():
+    # c = -1: n = 1 gives q^-1, which theta_bilateral refuses
+    theta = theta_laurent(-1, 5, 10)
+    assert theta.q_offset == -1
+    assert theta.coefficient(0, -1) == -1
+    with pytest.raises(DomainError):
+        theta_bilateral(-1, 5, 10)
 
 
 def test_triple_product_at_c_equals_modulus_is_zero():
