@@ -10,7 +10,7 @@ Two independent routes are provided for the multiplicity-side counters:
   which the identities check reads and which needs no per-row masks.  The
   slot width of both is derived, not assumed: every count at weight
   n <= N is at most p(N) (p-bar(N) for overpartitions), rounded up to
-  whole bytes;
+  whole bytes, and the slots are read with _packing.read_slots;
 * a brute-force enumerator that generates every (over)partition and applies
   the membership predicate directly - the slow cross-check oracle.
 
@@ -32,6 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from ._packing import read_slots
 from .series import PowerSeries, DomainError, div_binomial, mul_binomial, triple_product
 
 REGULAR = "regular"
@@ -282,12 +283,6 @@ def _window_dp(cp: CountParams, n_max: int, move) -> int:
     )
 
 
-def _unpack_slots(total: int, n_slots: int, bits: int) -> list[int]:
-    nb = bits // 8
-    raw = total.to_bytes(n_slots * nb, "little")
-    return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") for i in range(n_slots)]
-
-
 def _compute_table(cp: CountParams, n_max: int, parts: int) -> list[list[int]]:
     """Table of counts by number of parts 0..parts and weight 0..n_max.
 
@@ -305,7 +300,7 @@ def _compute_table(cp: CountParams, n_max: int, parts: int) -> list[list[int]]:
         mask = _weight_mask(stride, limit, min(parts - p, limit) + 1, bits)
         return (packed & mask) << (bits * (p * stride + w))
 
-    flat = _unpack_slots(_window_dp(cp, n_max, move), (parts + 1) * stride, bits)
+    flat = read_slots(_window_dp(cp, n_max, move), (parts + 1) * stride, bits, signed=False)
     return [flat[m * stride : (m + 1) * stride] for m in range(parts + 1)]
 
 
@@ -319,7 +314,7 @@ def _compute_totals(cp: CountParams, n_max: int) -> list[int]:
     def move(packed: int, p: int, w: int) -> int:
         return (packed << (bits * w)) & window
 
-    return _unpack_slots(_window_dp(cp, n_max, move), n_max + 1, bits)
+    return read_slots(_window_dp(cp, n_max, move), n_max + 1, bits, signed=False)
 
 
 def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> list[list[int]]:
@@ -459,18 +454,23 @@ def congruence_series(
     return PowerSeries(_parts_row(allowed, every if flavor == OVER else (), n), n), False
 
 
+def cached_congruence_series(k: int, d: int, c: int, flavor: str, n: int):
+    """congruence_series(k, d, c, flavor, ...) exact through q^n or deeper,
+    as (series, product_defined), from _cong_cache.  A miss builds through
+    q^max(n, 16) and replaces the held series."""
+    key = (k, d, c, flavor)
+    cached = _cong_cache.get(key)
+    if cached is None or cached[0] < n:
+        series, special = congruence_series(k, d, c, flavor, max(n, 16))
+        cached = _cong_cache[key] = (series.trunc_order, series, special)
+    return cached[1], cached[2]
+
+
 def count_cong(cp: CountParams, n: int) -> int:
     """Congruence-side counter value at n (flavor-aware)."""
     if n < 0:
         return 0
-    key = (cp.k, cp.d, cp.a, cp.flavor)
-    cached = _cong_cache.get(key)
-    if cached is None or cached[0] < n:
-        series, special = congruence_series(cp.k, cp.d, cp.a, cp.flavor, max(n, 16))
-        _cong_cache[key] = (series.trunc_order, series, special)
-    else:
-        series = cached[1]
-    return series.coefficient(n)
+    return cached_congruence_series(cp.k, cp.d, cp.a, cp.flavor, n)[0].coefficient(n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,28 @@ computes with at least the head room the shifts require.
 
 The summands are not multiplied out of their Pochhammer factors: their
 x-rows follow one by one from the first-order q-difference equation in x
-that those factors satisfy (see _build_summand), so building one is a few
-row sweeps with no bivariate product.  Each summand family is built once,
-on its support window, and kept at the deepest truncation asked for; alpha
-summands are asked with the head room of the largest lower index a <= k, so
-the a = 1..k sweep shares one build.  Sums of shifted summands are added
-in place into one row table (_sum_terms), not one BiSeries at a time.  The
-x = 1 product forms are likewise built as one Laurent row each and divided
-in place by (1 - q^d)(q; q)_inf, so no series is inverted.
+that those factors satisfy (see _build_summand), with no bivariate product.
+Each x-row is held as one Kronecker-packed int (_Packed, the row kernel of
+_packing): q -> 2^B is a ring homomorphism from Z[q]/(q^L) to Z/2^(L B),
+so a row sweep is one bigint shift-add, a division by 1 - q^m a few
+doubling shift-adds, and all of it is exact modulo 2^(L B).  Reading the
+rows back is exact when every coefficient read has |c| < 2^(B-1).  The
+width B is derived, not assumed: a bound on |coefficient| is carried
+through the same steps (a sum adds bounds, a division by 1 - q^m on L slots
+multiplies by (L-1)//m + 1), and B is the least multiple of 64 with
+bound < 2^(B-1).
+
+Each summand family is built once, on its support window, and kept packed
+at the deepest truncation asked for; alpha summands are asked with the head
+room of the largest lower index a <= k and beta summands with that of the
+least, 1 - d, so that every sweep shares one build.  Sums of shifted
+summands are shift-added into one packed row per x-power (_sum_terms), at
+the width of the total of their bounds.  The summand displays and the
+functional equation compare their two sides as packed ints and read
+coefficients back only to locate a mismatch; summand_series and
+constructed_gf return BiSeries read back from the packed rows.  The x = 1
+product forms are built as one Laurent row each and divided in place by
+(1 - q^d)(q; q)_inf, so no series is inverted.
 
 Pure functions + idempotent memo dicts: safe for concurrent use.
 """
@@ -30,8 +44,9 @@ Pure functions + idempotent memo dicts: safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from . import _packing
 from .counting import (
     OVER,
     REGULAR,
@@ -46,7 +61,6 @@ from .series import (
     TruncationMismatch,
     div_binomial,
     mul_binomial,
-    q_poch_finite,
     sum_x_rows,
     theta_laurent,
     triple_product,
@@ -55,14 +69,53 @@ from .series import (
 _summand_cache: dict = {}
 
 
+class _Packed(NamedTuple):
+    """A truncated (x, q) series with each x-row held as one packed int.
+
+    Row m packs the coefficients of x^m q^(q_offset + i), i = 0..L-1 with
+    L = trunc_order - q_offset + 1, into B = bits bit slots (_packing), as a
+    residue modulo 2^(L B).  Every coefficient satisfies |c| <= bound, and
+    bits = _packing.slot_width(bound) or wider, so series() reads it back
+    exactly.
+    """
+
+    rows: list
+    x_order: int
+    trunc_order: int
+    q_offset: int
+    bits: int
+    bound: int
+
+    @classmethod
+    def zero(cls, x_order: int, trunc_order: int) -> "_Packed":
+        return cls([0] * (x_order + 1), x_order, trunc_order, 0, _packing.slot_width(0), 0)
+
+    def series(self, trunc_order: Optional[int] = None) -> BiSeries:
+        """The BiSeries it holds, cut to trunc_order (default: its own)."""
+        N = self.trunc_order if trunc_order is None else trunc_order
+        n_slots = N - self.q_offset + 1
+        if n_slots <= 0:
+            return BiSeries.zero(self.x_order, N)
+        rows = [_packing.read_slots(r, n_slots, self.bits) if r else () for r in self.rows]
+        return BiSeries(rows, self.x_order, N, self.q_offset)
+
+
 def _quadratic_weight(k: int, d: int, flavor: str, n: int) -> int:
     """Exponent of the pure q-power in the n-th summand: grows quadratically."""
     return modulus(k, d, flavor) * n * (n + 1) // 2
 
 
 def summand_series(
-    kind: str, k: int, d: int, s: int, n: int, flavor: str, x_order: int, trunc_order: int
-) -> BiSeries:
+    kind: str,
+    k: int,
+    d: int,
+    s: int,
+    n: int,
+    flavor: str,
+    x_order: int,
+    trunc_order: int,
+    packed: bool = False,
+) -> BiSeries | _Packed:
     """The n-th summand family alpha[s]_n or beta[s]_n at exact truncation.
 
     kind is "alpha" or "beta".  The result carries its own q^(-n s) (alpha)
@@ -73,14 +126,17 @@ def summand_series(
 
     Memo policy: one build per family (kind, k, d, s, n, flavor, x_order),
     with no truncation in the key.  _summand_cache holds the deepest build
-    asked for so far; a request it covers is served from it, sliced with
-    truncated() to exactly trunc_order, and a deeper request rebuilds the
-    family and replaces it.  The result is always exact at trunc_order.
+    asked for so far, packed (_Packed); a request it covers is served from
+    it and a deeper request rebuilds the family and replaces it.  The
+    BiSeries returned is read from the packed rows at exactly trunc_order.
+    With packed=True the held _Packed itself is returned, exact at
+    trunc_order or deeper, for the packed sums (_sum_terms).
     """
     if kind not in ("alpha", "beta"):
         raise DomainError(f"unknown summand kind {kind!r}")
     if n == -1:
-        return BiSeries.zero(x_order, trunc_order)
+        zero = _Packed.zero(x_order, trunc_order)
+        return zero if packed else zero.series()
     if n < -1:
         raise DomainError("summand index must be >= -1")
     if not 0 <= s <= d - 1:
@@ -93,11 +149,11 @@ def summand_series(
         held = _summand_cache[key] = _build_summand(
             kind, k, d, s, n, flavor, x_order, trunc_order
         )
-    return held if held.trunc_order == trunc_order else held.truncated(trunc_order)
+    return held if packed else held.series(trunc_order)
 
 
-def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
-    """One summand family at truncation trunc_order, for n >= 0.
+def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> _Packed:
+    """One summand family at truncation trunc_order, for n >= 0, packed.
 
     The x-dependence is built from a q-difference equation rather than from
     products.  H(x) = ((xq)^d; q^d)_inf / ((xq; q)_inf ((x q^(n+1))^d; q^d)_inf),
@@ -113,8 +169,15 @@ def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
     divided by 1 - (xq)^d, negated for beta.  Every step multiplies by a
     series without negative exponents or divides by 1 - x^a q^e, so nothing
     is nonzero below q^(q0 - shift), q0 = M n(n+1)/2.  The rows are built on
-    that support window only, [0, trunc_order + shift - q0], and returned at
-    q-offset q0 - shift.
+    that support window only, L = trunc_order + shift - q0 + 1 slots, and
+    returned at q-offset q0 - shift.
+
+    Each row is one packed int and each step a shift-add (_packing row
+    kernel).  A bound on |coefficient| of every row is carried through the
+    same steps first: the seed is at most 2^n (over) times the product of
+    (L-1)//(d j) + 1, a division by 1 - q^m multiplies by (L-1)//m + 1, and
+    a sum adds bounds.  The slot width comes from the largest bound of an
+    output row; the h rows are never read, so they may wrap.
     """
     over = flavor == OVER
     shift = n * s if kind == "alpha" else n * (d - s)
@@ -122,44 +185,76 @@ def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
     top = trunc_order + shift - q0  # last q-exponent of the support window
     x0 = (k + 1 - d) * n
     if top < 0 or x0 > x_order:
-        return BiSeries.zero(x_order, trunc_order)
-
-    # h_0 = 1/(q^d; q^d)_n, times (-q; q)_n over
-    h = [list(q_poch_finite(-1, 1, 1, n if over else 0, top).coeffs)]
-    for j in range(1, n + 1):
-        div_binomial(h, 0, d * j)
-    # x^j coefficients of R and L as (j, coeff, q-exponent) monomials
-    r_terms = [(1, -1, 1), (d, -1, d * (n + 1)), (d + 1, 1, d * (n + 1) + 1)]
+        return _Packed.zero(x_order, trunc_order)
+    L = top + 1  # slots of a row
+    x_rows = x_order - x0 + 1  # rows of h that can reach the window
+    # x^j coefficients of -R and of L as (j, coeff, q-exponent) monomials
+    minus_r = [(1, 1, 1), (d, 1, d * (n + 1)), (d + 1, -1, d * (n + 1) + 1)]
     l_terms = [(d, -1, d)]
     if over:
         l_terms += [(1, 1, n + 1), (d + 1, -1, d + n + 1)]
-    for m in range(1, x_order - x0 + 1):
-        acc = [0] * (top + 1)
-        for j, c, e in r_terms:
-            if j <= m:
-                acc[e:] = [u - c * v for u, v in zip(acc[e:], h[m - j])]
-        for j, c, e in l_terms:
-            if j <= m:
-                e += m - j
-                acc[e:] = [u + c * v for u, v in zip(acc[e:], h[m - j])]
-        div_binomial([acc], 0, m)
-        h.append(acc)
-
-    # (-1)^n x^x0 times the bracket, as (coeff, x, q) monomials; q^q0 is the offset
+    # the terms -R_j h_(m-j) and q^(m-j) L_j h_(m-j) of row m inside the window
+    steps = [
+        [(j, c, e) for j, c, e in minus_r if j <= m and e < L]
+        + [(j, c, e + m - j) for j, c, e in l_terms if j <= m and e + m - j < L]
+        for m in range(x_rows)
+    ]
+    # (-1)^n x^x0 times the bracket (negated for beta) as (coeff, x, q)
+    # monomials inside the window; q^q0 is the offset
     qdn = d * n
     if kind == "alpha":
         bracket = [(1, 0, 0), (-1, d - s, d - s), (1, d - s, qdn + d - s), (-1, d, qdn + d)]
     else:
         bracket = [(1, 0, 0), (-1, s, s), (1, s, qdn + s), (-1, d, qdn + d)]
     sign = (1 if n % 2 == 0 else -1) * (1 if kind == "alpha" else -1)
-    out = [[0] * (top + 1) for _ in range(x_order + 1)]
+    bracket = [(c * sign, a, e) for c, a, e in bracket if e < L]
+
+    # the bounds
+    seed = 2 ** min(n, top) if over else 1
+    for j in range(1, n + 1):
+        seed *= top // (d * j) + 1
+    h_bound = [seed]
+    for m in range(1, x_rows):
+        h_bound.append((top // m + 1) * sum(h_bound[m - j] for j, _, _ in steps[m]))
+    out_bound = [0] * (x_order + 1)
+    for _, a, _ in bracket:
+        for m in range(max(x_rows - a, 0)):
+            out_bound[x0 + a + m] += h_bound[m]
+    if d < L:
+        for m in range(d, x_order + 1):
+            out_bound[m] += out_bound[m - d]
+    bound = max(out_bound)
+    B = _packing.slot_width(bound)
+    mask = (1 << (L * B)) - 1
+
+    # the same steps on packed rows
+    h = 1
+    if over:
+        for j in range(1, min(n, top) + 1):
+            h += h << (j * B)
+    for j in range(1, n + 1):
+        if d * j <= top:
+            h = _packing.divide_unit(h, d * j, L, B)
+    h = [h & mask]
+    for m in range(1, x_rows):
+        acc = 0
+        for j, c, e in steps[m]:
+            if c > 0:
+                acc += h[m - j] << (e * B)
+            else:
+                acc -= h[m - j] << (e * B)
+        h.append(_packing.divide_unit(acc, m, L, B))
+    out = [0] * (x_order + 1)
     for c, a, e in bracket:
-        c *= sign
-        for m, row in enumerate(h[: max(x_order - x0 - a + 1, 0)]):
-            dst = out[x0 + a + m]
-            dst[e:] = [u + c * v for u, v in zip(dst[e:], row)]
-    div_binomial(out, d, d)
-    return BiSeries(out, x_order, trunc_order, q0 - shift)
+        for m, row in enumerate(h[: max(x_rows - a, 0)]):
+            if c > 0:
+                out[x0 + a + m] += row << (e * B)
+            else:
+                out[x0 + a + m] -= row << (e * B)
+    if d < L:
+        for m in range(d, x_order + 1):
+            out[m] += out[m - d] << (d * B)
+    return _Packed([r & mask for r in out], x_order, trunc_order, q0 - shift, B, bound)
 
 
 def alpha_series(k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
@@ -175,45 +270,83 @@ def beta_series(k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
 # ---------------------------------------------------------------------------
 
 
-def _sum_terms(terms, x_order, trunc_order) -> BiSeries:
-    """Sum of coeff * x^mono_x q^mono_q * f(x q^at_xq) over the terms.
+def _sum_terms(terms, x_order, trunc_order, bits: int = 0) -> _Packed:
+    """Sum of coeff * x^mono_x q^mono_q * f(x q^at_xq) over the terms, packed.
 
-    Each term is (f, coeff, mono_x, mono_q, at_xq) with coeff 1 or -1, and
-    is added straight into one row table: the entry of f at x^m q^e lands at
-    x^(m + mono_x) q^(e + mono_q + at_xq * m), and whatever lands past
-    x_order or trunc_order is dropped.  That is exact because every f must be
-    built at trunc_order - min(mono_q, 0) or deeper, so that it reaches
-    trunc_order after the shift; a shallower f raises TruncationMismatch.
+    Each term is (f, coeff, mono_x, mono_q, at_xq) with f a _Packed and
+    coeff 1 or -1.  The entry of f at x^m q^e lands at
+    x^(m + mono_x) q^(e + mono_q + at_xq * m): each packed row is shifted
+    and added into one packed row of the sum, and whatever lands past
+    x_order or trunc_order is dropped.  That is exact because every f must
+    be built at trunc_order - min(mono_q, 0) or deeper, so that it reaches
+    trunc_order after the shift (the residue above its own window then lands
+    above the sum's); a shallower f raises TruncationMismatch.
+
+    The bound of the sum is the total of the terms' bounds, and its slot
+    width is slot_width of that, or bits if wider; a term held at another
+    width is re-spread to it.
     """
     off = min([0] + [f.q_offset + mono_q for f, _, _, mono_q, _ in terms])
-    width = trunc_order - off + 1
-    rows = [[0] * width for _ in range(x_order + 1)]
+    n_slots = trunc_order - off + 1
+    bound = sum(f.bound for f, *_ in terms)
+    bits = max(bits, _packing.slot_width(bound))
+    rows = [0] * (x_order + 1)
     for f, coeff, mono_x, mono_q, at_xq in terms:
         if mono_x < 0 or coeff not in (1, -1):
             raise DomainError("terms need mono_x >= 0 and coeff 1 or -1")
         if f.x_order != x_order or f.trunc_order + min(mono_q, 0) < trunc_order:
             raise TruncationMismatch("term built short of the truncation it needs")
+        src = f.rows[: max(x_order + 1 - mono_x, 0)]
+        if f.bits != bits:
+            f_slots = f.trunc_order - f.q_offset + 1
+            src = [_packing.respread(r, f_slots, f.bits, bits) if r else 0 for r in src]
         base = f.q_offset + mono_q - off
-        for m, src in enumerate(f.rows[: max(x_order + 1 - mono_x, 0)]):
+        for m, r in enumerate(src):
             e = base + (m if at_xq else 0)
-            dst = rows[m + mono_x]
-            if coeff == 1:
-                dst[e:] = [u + v for u, v in zip(dst[e:], src)]
-            else:
-                dst[e:] = [u - v for u, v in zip(dst[e:], src)]
-    return BiSeries(rows, x_order, trunc_order, off)
+            if r and e < n_slots:
+                if coeff == 1:
+                    rows[m + mono_x] += r << (e * bits)
+                else:
+                    rows[m + mono_x] -= r << (e * bits)
+    mask = (1 << (n_slots * bits)) - 1
+    return _Packed([r & mask for r in rows], x_order, trunc_order, off, bits, bound)
 
 
-def _summand_term(kind, k, d, s, n, flavor, x_order, trunc_order, mono_q) -> BiSeries:
+def _sums(term_lists, x_order, trunc_order) -> list[_Packed]:
+    """_sum_terms of each list, all at one slot width, so that they compare."""
+    bits = _packing.slot_width(max(sum(t[0].bound for t in terms) for terms in term_lists))
+    return [_sum_terms(terms, x_order, trunc_order, bits) for terms in term_lists]
+
+
+def _first_difference(lhs: _Packed, rhs: _Packed):
+    """lhs.series().first_difference(rhs.series()), for two sums at one width.
+
+    The packed rows are compared, aligned on the lower q-offset; the series
+    are read back only to locate a mismatch.
+    """
+    if lhs.bits != rhs.bits:
+        raise ValueError("packed sums of different slot widths do not compare")
+    lo, hi = (lhs, rhs) if lhs.q_offset <= rhs.q_offset else (rhs, lhs)
+    shift = (hi.q_offset - lo.q_offset) * lo.bits
+    if all(u == v << shift for u, v in zip(lo.rows, hi.rows)):
+        return None
+    return lhs.series().first_difference(rhs.series())
+
+
+def _summand_term(kind, k, d, s, n, flavor, x_order, trunc_order, mono_q) -> _Packed:
     """The summand of a (f, coeff, mono_x, mono_q, at_xq) term of _sum_terms,
     deep enough to reach trunc_order after the q^mono_q shift.
 
-    An alpha summand is always asked at least n k deeper, the head room of
-    its q^(-n a) factor at the largest lower index a <= k, so that every
-    caller of one family (the a = 1..k sweep, the displays) shares one build.
+    Every caller of one family (the a = 1..k sweep, the displays, the
+    functional equation) shares one build, because each kind is always
+    asked with the head room of its most demanding lower index: n k for
+    alpha (the q^(-n a) factor at a = k), and (n + 2)(d - 1) for beta (the
+    (x q^(n+2))^a factor of a beta at argument xq, at a = 1 - d).
     """
-    head = -mono_q if kind == "beta" else max(-mono_q, n * k)
-    return summand_series(kind, k, d, s, n, flavor, x_order, trunc_order + max(head, 0))
+    head = n * k if kind == "alpha" else (n + 2) * (d - 1)
+    return summand_series(
+        kind, k, d, s, n, flavor, x_order, trunc_order + max(-mono_q, head, 0), packed=True
+    )
 
 
 def _span_terms(k, d, s, a, flavor, x_order, trunc_order, at_xq, mono_x, mono_q, coeff=1):
@@ -271,7 +404,7 @@ def constructed_gf(
     if a < 0:
         raise DomainError("constructed_gf needs a >= 0")
     terms = _span_terms(k, d, s, a, flavor, x_order, trunc_order, False, 0, 0)
-    span = _sum_terms(terms, x_order, trunc_order)
+    span = _sum_terms(terms, x_order, trunc_order).series()
     return span.as_ordinary() if require_ordinary else span
 
 
@@ -384,10 +517,10 @@ def needed_trunc_order(k: int, d: int, n_max: int) -> int:
     return (2 * k + 2 - d) * n_max * (n_max + 1) // 2 + (k + d) * (n_max + 2) + 12
 
 
-def _build_side(k, d, flavor, parts, x_order, trunc_order):
-    """Sum of (kind, s, n, coeff, mono_x, mono_q, at_xq) summand terms: each
-    summand is built with enough head room and added in place (_sum_terms)."""
-    terms = [
+def _side_terms(k, d, flavor, parts, x_order, trunc_order):
+    """The _sum_terms terms of (kind, s, n, coeff, mono_x, mono_q, at_xq)
+    summand parts, each summand built with enough head room."""
+    return [
         (
             _summand_term(kind, k, d, s, n, flavor, x_order, trunc_order, mono_q),
             coeff,
@@ -397,7 +530,6 @@ def _build_side(k, d, flavor, parts, x_order, trunc_order):
         )
         for kind, s, n, coeff, mono_x, mono_q, at_xq in parts
     ]
-    return _sum_terms(terms, x_order, trunc_order)
 
 
 def verify_summand_recurrences(
@@ -437,12 +569,12 @@ def verify_summand_recurrences(
     def be_xq(s, n, mono_x, mono_q):
         return ("beta", s, n, 1, mono_x, mono_q, True)
 
-    def side(parts):
-        return _build_side(k, d, flavor, parts, X, N)
+    def sides(*parts):
+        return _sums([_side_terms(k, d, flavor, p, X, N) for p in parts], X, N)
 
     def record(display, s, a, n, lhs_parts, rhs_parts):
         sweep.instances += 1
-        diff = side(lhs_parts).first_difference(side(rhs_parts))
+        diff = _first_difference(*sides(lhs_parts, rhs_parts))
         ok = diff is None
         if not ok:
             sweep.failures.append(DisplayCheck(display, s, a, n, False, diff))
@@ -500,9 +632,9 @@ def verify_summand_recurrences(
                 base = [al_xq(0, n, a - 1, (a - 1) - n * w1)]
                 printed = base + [al_xq(0, n, a + w2, a - n * w2)]
                 corrected = base + [al_xq(0, n, a, a - n * w2)]
-                lhs_built = side(lhs)
-                printed_ok = lhs_built.first_difference(side(printed)) is None
-                corrected_diff = lhs_built.first_difference(side(corrected))
+                lhs_sum, printed_sum, corrected_sum = sides(lhs, printed, corrected)
+                printed_ok = _first_difference(lhs_sum, printed_sum) is None
+                corrected_diff = _first_difference(lhs_sum, corrected_sum)
                 sweep.instances += 1
                 sweep.suspect_printed_ok = sweep.suspect_printed_ok and printed_ok
                 if corrected_diff is not None:
@@ -530,7 +662,7 @@ def verify_gf_functional_equation(
     rhs = _span_terms(k, d, 0, k - a + 1 - s, flavor, X, N, True, a - 1, a - 1)
     if flavor == OVER:
         rhs += _span_terms(k, d, 0, k - a - s, flavor, X, N, True, a, a)
-    return _sum_terms(lhs, X, N).first_difference(_sum_terms(rhs, X, N))
+    return _first_difference(*_sums([lhs, rhs], X, N))
 
 
 # ---------------------------------------------------------------------------

@@ -280,9 +280,9 @@ def check_product_eval(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _cong_values(k, d, c, flavor, n_max) -> list[int]:
-    series, special = counting.congruence_series(k, d, c, flavor, n_max)
-    return list(series.coeffs), special
+def _cong_values(k, d, c, flavor, n_max) -> tuple[list[int], bool]:
+    series, special = counting.cached_congruence_series(k, d, c, flavor, n_max)
+    return list(series.coeffs[: n_max + 1]), special
 
 
 def check_main_identity(

@@ -281,6 +281,22 @@ def test_identities_build_one_weight_only_dp_per_tuple(monkeypatch):
     assert all(n_max == 40 for _, n_max in built)
 
 
+def test_identities_build_each_congruence_series_once(monkeypatch):
+    built = []
+    congruence_series = counting.congruence_series
+
+    def spy(k, d, c, flavor, trunc_order):
+        built.append((k, d, c, flavor))
+        return congruence_series(k, d, c, flavor, trunc_order)
+
+    monkeypatch.setattr(counting, "_cong_cache", {})
+    monkeypatch.setattr(counting, "congruence_series", spy)
+    reports = run_suite(SuiteConfig(checks=("identities",), trunc_order=80))
+    assert any(r.status == "pass" for r in reports)
+    assert built
+    assert len(built) == len(set(built)) == len(counting._cong_cache)
+
+
 def test_regular_equals_over_restricted_to_no_overlines():
     for k, a, d, s in ((3, 2, 2, 1), (4, 3, 3, 2), (2, 2, 2, 0)):
         reg = CountParams(k, a, d, s, REGULAR)

@@ -1,10 +1,11 @@
 """The constructed series: initial conditions, recurrences, identifications."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qgordon import _packing, gseries
 from qgordon.counting import OVER, REGULAR, CountParams, count_mult
+from qgordon.harness import SuiteConfig, run_suite
 from qgordon.gseries import (
     alpha_series,
     beta_series,
@@ -28,6 +29,7 @@ from qgordon.series import (
     OrdinarinessError,
     PowerSeries,
     TruncationMismatch,
+    div_binomial,
     eval_x_one,
     poch_inf,
     q_poch_finite,
@@ -265,20 +267,153 @@ def span_instances(draw):
 @given(span_instances(), st.sampled_from((1, -1)))
 def test_summed_span_matches_add_fold(instance, coeff):
     X, N = instance[5], instance[6]
-    got = gseries._sum_terms(gseries._span_terms(*instance, coeff=coeff), X, N)
+    got = gseries._sum_terms(gseries._span_terms(*instance, coeff=coeff), X, N).series()
     want = reference_summand_span(*instance)
     assert got == (want if coeff == 1 else -want)
 
 
-def test_sum_terms_accepts_deeper_terms_only():
-    f = summand_series("alpha", 3, 2, 1, 2, REGULAR, 6, 20)
-    exact = gseries._sum_terms([(f.truncated(19), 1, 0, -4, True)], 6, 15)
-    assert gseries._sum_terms([(f, 1, 0, -4, True)], 6, 15) == exact
+def test_sum_terms_accepts_deeper_terms_only(monkeypatch):
+    monkeypatch.setattr(gseries, "_summand_cache", {})
+    f19 = summand_series("alpha", 3, 2, 1, 2, REGULAR, 6, 19, packed=True)
+    monkeypatch.setattr(gseries, "_summand_cache", {})
+    f = summand_series("alpha", 3, 2, 1, 2, REGULAR, 6, 20, packed=True)
+    exact = gseries._sum_terms([(f19, 1, 0, -4, True)], 6, 15).series()
+    assert gseries._sum_terms([(f, 1, 0, -4, True)], 6, 15).series() == exact
     assert gseries._sum_terms([(f, -1, 1, -4, False)], 6, 16).trunc_order == 16
     with pytest.raises(TruncationMismatch):
         gseries._sum_terms([(f, 1, 0, -4, True)], 6, 17)
     with pytest.raises(TruncationMismatch):
         gseries._sum_terms([(f, 1, 0, 0, False)], 6, 21)
+
+
+def test_default_summand_sweep_builds_each_family_once(monkeypatch):
+    built = []
+    build = gseries._build_summand
+
+    def counted(*args):
+        built.append(args[:-1])
+        return build(*args)
+
+    monkeypatch.setattr(gseries, "_summand_cache", {})
+    monkeypatch.setattr(gseries, "_build_summand", counted)
+    reports = run_suite(SuiteConfig(checks=("summand-eqs",)))
+    assert all(r.status == "pass" for r in reports if r.check_id == "summand-eqs")
+    assert built
+    assert len(built) == len(set(built)) == len(gseries._summand_cache)
+
+
+# ---------------------------------------------------------------------------
+# the list-of-rows builder and sum: oracles of the packed ones
+# ---------------------------------------------------------------------------
+
+
+def list_build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> BiSeries:
+    """gseries._build_summand on lists of coefficients: the same x-row
+    recurrence, bracket and division by 1 - (xq)^d, each a row sweep
+    (div_binomial), with no packing and no width."""
+    over = flavor == OVER
+    shift = n * s if kind == "alpha" else n * (d - s)
+    q0 = (2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d) * n * (n + 1) // 2
+    top = trunc_order + shift - q0
+    x0 = (k + 1 - d) * n
+    if top < 0 or x0 > x_order:
+        return BiSeries.zero(x_order, trunc_order)
+    h = [list(q_poch_finite(-1, 1, 1, n if over else 0, top).coeffs)]
+    for j in range(1, n + 1):
+        div_binomial(h, 0, d * j)
+    r_terms = [(1, -1, 1), (d, -1, d * (n + 1)), (d + 1, 1, d * (n + 1) + 1)]
+    l_terms = [(d, -1, d)]
+    if over:
+        l_terms += [(1, 1, n + 1), (d + 1, -1, d + n + 1)]
+    for m in range(1, x_order - x0 + 1):
+        acc = [0] * (top + 1)
+        for j, c, e in r_terms:
+            if j <= m:
+                acc[e:] = [u - c * v for u, v in zip(acc[e:], h[m - j])]
+        for j, c, e in l_terms:
+            if j <= m:
+                e += m - j
+                acc[e:] = [u + c * v for u, v in zip(acc[e:], h[m - j])]
+        div_binomial([acc], 0, m)
+        h.append(acc)
+    qdn = d * n
+    if kind == "alpha":
+        bracket = [(1, 0, 0), (-1, d - s, d - s), (1, d - s, qdn + d - s), (-1, d, qdn + d)]
+    else:
+        bracket = [(1, 0, 0), (-1, s, s), (1, s, qdn + s), (-1, d, qdn + d)]
+    sign = (1 if n % 2 == 0 else -1) * (1 if kind == "alpha" else -1)
+    out = [[0] * (top + 1) for _ in range(x_order + 1)]
+    for c, a, e in bracket:
+        c *= sign
+        for m, row in enumerate(h[: max(x_order - x0 - a + 1, 0)]):
+            dst = out[x0 + a + m]
+            dst[e:] = [u + c * v for u, v in zip(dst[e:], row)]
+    div_binomial(out, d, d)
+    return BiSeries(out, x_order, trunc_order, q0 - shift)
+
+
+def list_sum_terms(terms, x_order, trunc_order) -> BiSeries:
+    """gseries._sum_terms on BiSeries terms, added in place into lists."""
+    off = min([0] + [f.q_offset + mono_q for f, _, _, mono_q, _ in terms])
+    rows = [[0] * (trunc_order - off + 1) for _ in range(x_order + 1)]
+    for f, coeff, mono_x, mono_q, at_xq in terms:
+        assert f.trunc_order + min(mono_q, 0) >= trunc_order
+        base = f.q_offset + mono_q - off
+        for m, src in enumerate(f.rows[: max(x_order + 1 - mono_x, 0)]):
+            e = base + (m if at_xq else 0)
+            dst = rows[m + mono_x]
+            dst[e:] = [u + coeff * v for u, v in zip(dst[e:], src)]
+    return BiSeries(rows, x_order, trunc_order, off)
+
+
+@st.composite
+def wide_summand_families(draw):
+    """A family with n <= 3, k <= 5, on a window (18 x-rows past its first,
+    101 q-exponents) whose derived slot width exceeds 64 bits."""
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(1, k))
+    s = draw(st.integers(0, d - 1))
+    n = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(("alpha", "beta")))
+    flavor = draw(st.sampled_from((REGULAR, OVER)))
+    shift = n * s if kind == "alpha" else n * (d - s)
+    q0 = (2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d) * n * (n + 1) // 2
+    return kind, k, d, s, n, flavor, (k + 1 - d) * n + 18, q0 - shift + 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_summand_families())
+def test_packed_build_matches_list_oracle_past_64_bits(family):
+    packed = gseries._build_summand(*family)
+    want = list_build_summand(*family)
+    assert packed.bits > 64
+    assert packed.series() == want
+    largest = max(abs(c) for row in want.rows for c in row)
+    assert packed.bound >= largest
+    # a width too narrow for the largest coefficient breaks the comparison
+    narrow = 8 * ((largest.bit_length() - 1) // 8)
+    assume(narrow >= 8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_packing, "slot_width", lambda bound: narrow)
+        squeezed = gseries._build_summand(*family)
+    assert squeezed.bits == narrow
+    assert squeezed.series() != want
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_instances(), st.sampled_from((1, -1)))
+def test_packed_sums_match_list_oracle(instance, coeff):
+    X, N = instance[5], instance[6]
+    lhs = gseries._span_terms(*instance, coeff=coeff)
+    rhs = lhs[:-1]
+
+    def as_lists(terms):
+        return list_sum_terms([(f.series(), *rest) for f, *rest in terms], X, N)
+
+    assert gseries._sum_terms(lhs, X, N).series() == as_lists(lhs)
+    got = gseries._first_difference(*gseries._sums([lhs, rhs], X, N))
+    assert got == as_lists(lhs).first_difference(as_lists(rhs))
+    assert gseries._first_difference(*gseries._sums([lhs, lhs], X, N)) is None
 
 
 def test_constructed_gf_makes_no_add_call(monkeypatch):

@@ -1,5 +1,6 @@
 """Suite driver: identity shapes, applicability, determinism, reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -221,6 +222,25 @@ def test_report_determinism():
     # counts serialize as decimal strings
     fails = [r for r in parsed if r["status"] == "fail"]
     assert fails and all(isinstance(r["first_mismatch"]["lhs"], str) for r in fails)
+
+
+def _digest(config) -> str:
+    canonical = reports_to_json(run_suite(config), include_runtime=False)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def test_canonical_reports_are_pinned():
+    # the first 16 hex digits of the SHA-256 of the canonical JSON of the
+    # default run and of the x = 1 grid (criteria 07/08)
+    assert _digest(SuiteConfig()) == "77451144f0aa7298"
+    x_one_grid = SuiteConfig(
+        checks=("gf-match", "product-eval"),
+        ks=(2, 3, 4),
+        ds=(1, 2, 3, 4),
+        trunc_order=40,
+        x_order=10,
+    )
+    assert _digest(x_one_grid) == "3993047fb61b9e94"
 
 
 def test_closure_invariant_holds_on_suite():
