@@ -93,6 +93,8 @@ class _Packed(NamedTuple):
     def series(self, trunc_order: Optional[int] = None) -> BiSeries:
         """The BiSeries it holds, cut to trunc_order (default: its own)."""
         N = self.trunc_order if trunc_order is None else trunc_order
+        if N > self.trunc_order:
+            raise TruncationMismatch("cannot extend a truncated series")
         n_slots = N - self.q_offset + 1
         if n_slots <= 0:
             return BiSeries.zero(self.x_order, N)
@@ -239,18 +241,12 @@ def _build_summand(kind, k, d, s, n, flavor, x_order, trunc_order) -> _Packed:
     for m in range(1, x_rows):
         acc = 0
         for j, c, e in steps[m]:
-            if c > 0:
-                acc += h[m - j] << (e * B)
-            else:
-                acc -= h[m - j] << (e * B)
+            acc += c * (h[m - j] << (e * B))
         h.append(_packing.divide_unit(acc, m, L, B))
     out = [0] * (x_order + 1)
     for c, a, e in bracket:
         for m, row in enumerate(h[: max(x_rows - a, 0)]):
-            if c > 0:
-                out[x0 + a + m] += row << (e * B)
-            else:
-                out[x0 + a + m] -= row << (e * B)
+            out[x0 + a + m] += c * (row << (e * B))
     if d < L:
         for m in range(d, x_order + 1):
             out[m] += out[m - d] << (d * B)
@@ -304,10 +300,7 @@ def _sum_terms(terms, x_order, trunc_order, bits: int = 0) -> _Packed:
         for m, r in enumerate(src):
             e = base + (m if at_xq else 0)
             if r and e < n_slots:
-                if coeff == 1:
-                    rows[m + mono_x] += r << (e * bits)
-                else:
-                    rows[m + mono_x] -= r << (e * bits)
+                rows[m + mono_x] += coeff * (r << (e * bits))
     mask = (1 << (n_slots * bits)) - 1
     return _Packed([r & mask for r in rows], x_order, trunc_order, off, bits, bound)
 

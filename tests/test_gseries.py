@@ -400,7 +400,7 @@ def test_packed_build_matches_list_oracle_past_64_bits(family):
     assert squeezed.series() != want
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(span_instances(), st.sampled_from((1, -1)))
 def test_packed_sums_match_list_oracle(instance, coeff):
     X, N = instance[5], instance[6]

@@ -99,7 +99,7 @@ def edge_tables(draw, max_rows=4, max_len=12):
     return rows, bits
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(edge_tables())
 def test_pack_unpack_roundtrip_at_the_slot_edges(table):
     rows, bits = table
@@ -112,7 +112,7 @@ def test_pack_unpack_roundtrip_at_the_slot_edges(table):
     assert _packing.read_slots(packed - (3 << (len(flat) * bits)), len(flat), bits) == flat
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(edge_tables(), st.integers(0, 3))
 def test_unsigned_read_and_respread_at_the_slot_edges(table, extra_words):
     rows, bits = table
@@ -127,7 +127,7 @@ def test_unsigned_read_and_respread_at_the_slot_edges(table, extra_words):
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(edge_tables(max_rows=3, max_len=10), edge_tables(max_rows=3, max_len=10), st.data())
 def test_multiply_tables_matches_naive_at_the_slot_edges(a, b, data):
     a_rows, b_rows = a[0], b[0]
@@ -152,7 +152,7 @@ def divide_unit_naive(row, e):
     return out
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 60),
     st.integers(1, 64),
