@@ -117,19 +117,26 @@ def read_slots(value: int, n_slots: int, slot_bits: int, signed: bool = True) ->
 
 
 def pack(rows: list[list[int]], stride: int, slot_bits: int) -> int:
-    """Evaluate sum_{r,i} rows[r][i] * 2^(slot_bits*(r*stride+i)) exactly."""
+    """Evaluate sum_{r,i} rows[r][i] * 2^(slot_bits*(r*stride+i)) exactly.
+
+    A coefficient outside [-2^(B-1), 2^(B-1)) does not fit its slot and is
+    added as its own shifted int, so the value is exact for any width."""
     n_slots = len(rows) * stride
     nbytes = slot_bits // 8
     half = 1 << (slot_bits - 1)
     buf = bytearray(half.to_bytes(nbytes, "little") * n_slots)
+    wide = 0
     for r, row in enumerate(rows):
         base = r * stride * nbytes
         for i, c in enumerate(row):
             if c:
-                buf[base + i * nbytes : base + (i + 1) * nbytes] = (c + half).to_bytes(
-                    nbytes, "little"
-                )
-    return int.from_bytes(buf, "little") - _offset_constant(n_slots, slot_bits)
+                try:
+                    buf[base + i * nbytes : base + (i + 1) * nbytes] = (c + half).to_bytes(
+                        nbytes, "little"
+                    )
+                except OverflowError:
+                    wide += c << (8 * (base + i * nbytes))
+    return int.from_bytes(buf, "little") - _offset_constant(n_slots, slot_bits) + wide
 
 
 def unpack(

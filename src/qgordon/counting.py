@@ -18,8 +18,10 @@ The congruence-side counters are one coefficient row each (_parts_row),
 multiplied in place by 1 + q^v for each part v that may appear once
 (overlined) and divided by 1 - q^v for each part that may repeat; the
 product-defined exceptional case seeds the row with the triple product.  No
-series is multiplied or inverted.  The same row over every part gives the
-p(N) or p-bar(N) bound behind the DP slot width.
+series is multiplied or inverted.  The same row over every part, the p(n) or
+p-bar(n) counts (partition_counts), is held at its deepest build: it gives
+the bound behind the DP slot width and is the (q; q)_inf quotient of the
+x = 1 product forms (gseries).
 
 All functions are pure; the memo tables are module-level dicts whose fills are
 idempotent, so concurrent use is safe.
@@ -180,7 +182,7 @@ def satisfies_mult_conditions(sol: FreqSolution, cp: CountParams) -> bool:
 # fast route: frequency-window DP over packed count vectors
 # ---------------------------------------------------------------------------
 
-_width_cache: dict[tuple[str, int], int] = {}
+_width_cache: dict[str, list[int]] = {}
 _mask_cache: dict[tuple[int, int, int, int], int] = {}
 _table_cache: dict[tuple[int, int, int, int, str], tuple[int, list[list[int]]]] = {}
 _totals_cache: dict[tuple[int, int, int, int, str], list[int]] = {}
@@ -199,34 +201,39 @@ def _parts_row(plain, lined, n_max: int, row: Optional[list[int]] = None) -> lis
     return rows[0]
 
 
+def partition_counts(flavor: str, n_max: int) -> list[int]:
+    """p(0), p(1), ... (p-bar for overpartitions, the coefficients of
+    prod (1+q^v)/(1-q^v)) through n_max or further: the coefficients of
+    (-q; q)_inf^[over] / (q; q)_inf.  _width_cache holds the deepest row
+    built; a deeper request rebuilds it and replaces it."""
+    held = _width_cache.get(flavor)
+    if held is None or len(held) <= n_max:
+        every = range(1, n_max + 1)
+        held = _width_cache[flavor] = _parts_row(every, every if flavor == OVER else (), n_max)
+    return held
+
+
 def _slot_bits(flavor: str, n_max: int) -> int:
     """Slot width (bits, multiple of 8) that holds every DP count up to n_max.
 
     Each slot of a DP state counts distinct partial (over)partitions of one
     weight n <= n_max, and the states summed into one slot never count the
     same one twice.  So every slot, partial or final, is at most p(n_max)
-    (p-bar(n_max), the coefficient of prod (1+q^v)/(1-q^v), for
-    overpartitions), and a slot this wide never carries into its neighbour.
+    (p-bar(n_max) for overpartitions), and a slot this wide never carries
+    into its neighbour.
     """
-    key = (flavor, n_max)
-    got = _width_cache.get(key)
-    if got is None:
-        every = range(1, n_max + 1)
-        c = _parts_row(every, every if flavor == OVER else (), n_max)
-        got = _width_cache[key] = (max(c).bit_length() + 7) & ~7
-    return got
+    return (max(partition_counts(flavor, n_max)[: n_max + 1]).bit_length() + 7) & ~7
 
 
 def _weight_mask(stride: int, limit: int, rows: int, bits: int) -> int:
-    """All-ones slots (m, n) with m < rows and n <= limit, rows of stride slots."""
+    """All-ones slots (m, n) with m < rows and n <= limit, rows of stride
+    slots, built from one repeated byte pattern (bits is a multiple of 8)."""
     key = (stride, limit, rows, bits)
     got = _mask_cache.get(key)
     if got is None:
-        row = (1 << (bits * (limit + 1))) - 1
-        got = 0
-        for m in range(rows):
-            got |= row << (bits * stride * m)
-        _mask_cache[key] = got
+        nbytes = bits // 8
+        row = b"\xff" * (nbytes * (limit + 1)) + bytes(nbytes * (stride - limit - 1))
+        got = _mask_cache[key] = int.from_bytes(row * rows, "little")
     return got
 
 
@@ -543,16 +550,19 @@ def verify_recurrence(cp: CountParams, m_max: int, n_max: int) -> RecurrenceOutc
 
 
 @functools.cache
-def min_admissible_weight(k: int, a: int, flavor: str, parts: int) -> int:
+def min_admissible_weight(k: int, a: int, flavor: str, parts: int, cap: int = 10**9) -> int:
     """Minimum weight of any solution with `parts` parts meeting the window
     and first-part bounds (mod-d conditions ignored, so this is a lower bound
-    for every s, d).  Returns a large sentinel when no solution exists.
+    for every s, d), or cap if that is smaller; cap when no solution exists.
+
+    After the values 1..v are placed, the parts still to come weigh at least
+    v + 1 each, so a state of weight w with p parts cannot finish below
+    w + (parts - p)(v + 1): states for which that reaches cap are dropped.
     A pure function of its arguments, so each distinct call runs the DP once.
     """
     over = flavor == OVER
-    sentinel = 10**9
     best = {(0, 0): 0}  # (prev, parts so far) -> min weight
-    answer = 0 if parts == 0 else sentinel
+    answer = 0 if parts == 0 else cap
     top = 2 * parts + 2
     for v in range(1, top + 1):
         nxt: dict[tuple[int, int], int] = {}
@@ -566,7 +576,7 @@ def min_admissible_weight(k: int, a: int, flavor: str, parts: int) -> int:
                         continue
                     key = (add, p + add)
                     val = w + v * add
-                    if val < nxt.get(key, sentinel):
+                    if val + (parts - p - add) * (v + 1) < cap and val < nxt.get(key, cap):
                         nxt[key] = val
         best = nxt
         for (prev, p), w in best.items():
@@ -574,7 +584,7 @@ def min_admissible_weight(k: int, a: int, flavor: str, parts: int) -> int:
                 answer = w
         if not best:
             break
-    return answer
+    return min(answer, cap)
 
 
 # ---------------------------------------------------------------------------

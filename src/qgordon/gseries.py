@@ -35,8 +35,10 @@ the width of the total of their bounds.  The summand displays and the
 functional equation compare their two sides as packed ints and read
 coefficients back only to locate a mismatch; summand_series and
 constructed_gf return BiSeries read back from the packed rows.  The x = 1
-product forms are built as one Laurent row each and divided in place by
-(1 - q^d)(q; q)_inf, so no series is inverted.
+specialization sums the packed x-rows into one row, and the x = 1 product
+forms are packed rows too: a numerator of shift-adds, divided by 1 - q^d and
+multiplied once by the held p(n) row (counting.partition_counts), so no
+series is inverted.
 
 Pure functions + idempotent memo dicts: safe for concurrent use.
 """
@@ -54,17 +56,9 @@ from .counting import (
     count_table,
     min_admissible_weight,
     modulus,
+    partition_counts,
 )
-from .series import (
-    BiSeries,
-    DomainError,
-    TruncationMismatch,
-    div_binomial,
-    mul_binomial,
-    sum_x_rows,
-    theta_laurent,
-    triple_product,
-)
+from .series import BiSeries, DomainError, TruncationMismatch, theta_laurent, triple_product
 
 _summand_cache: dict = {}
 
@@ -394,11 +388,16 @@ def constructed_gf(
     that sweep all tuples pass require_ordinary=False and work with the
     Laurent object directly.
     """
-    if a < 0:
-        raise DomainError("constructed_gf needs a >= 0")
-    terms = _span_terms(k, d, s, a, flavor, x_order, trunc_order, False, 0, 0)
+    terms = _constructed_terms(k, a, d, s, flavor, x_order, trunc_order)
     span = _sum_terms(terms, x_order, trunc_order).series()
     return span.as_ordinary() if require_ordinary else span
+
+
+def _constructed_terms(k, a, d, s, flavor, x_order, trunc_order):
+    """The _sum_terms terms of constructed_gf."""
+    if a < 0:
+        raise DomainError("constructed_gf needs a >= 0")
+    return _span_terms(k, d, s, a, flavor, x_order, trunc_order, False, 0, 0)
 
 
 def enumerated_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
@@ -712,25 +711,17 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
 
     Each form is (q^e1 - q^e2) P1 + (1 - q^(d-s)) P2 over (1 - q^d)(q; q)_inf,
     times (-q; q)_inf over, with P1, P2 triple products (displayed forms) or
-    theta sums.  The numerator is built as one Laurent row, then divided and
-    multiplied in place factor by factor: every factor is a power series with
-    constant term 1, so the row stays exact on its whole window.
+    theta sums.  It is computed on packed rows (the _packing row kernel) on
+    one window [off, N] of L slots shared by every form: each P row is
+    packed once, a numerator is four shift-adds, divide_unit divides it by
+    1 - q^d, and one multiply by the packed p(n) (p-bar(n) over) row
+    supplies the rest.  Every factor is a power series with constant term 1,
+    so the result is exact on the whole window.  The slot width comes from a
+    bound: a numerator is at most 2 (|P1| + |P2|), the division multiplies
+    that by (L-1)//d + 1, and the product by L times the largest count.
     """
     N = trunc_order
     M = modulus(k, d, flavor)
-
-    def form(e1: int, e2: int, p1: BiSeries, p2: BiSeries) -> BiSeries:
-        off = min(p1.q_offset, p2.q_offset)
-        row = [0] * (N - off + 1)
-        for coeff, e, p in ((1, e1, p1), (-1, e2, p1), (1, 0, p2), (-1, d - s, p2)):
-            start = p.q_offset - off + e
-            row[start:] = [u + coeff * v for u, v in zip(row[start:], p.rows[0])]
-        for e in [d] + list(range(1, len(row))):
-            div_binomial([row], 0, e)
-        if flavor == OVER:
-            for e in range(1, len(row)):
-                mul_binomial([row], 0, e, 1)
-        return BiSeries([row], 0, N, off)
 
     def tp(c: int) -> Optional[BiSeries]:
         if c == 0:
@@ -739,15 +730,35 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
             return BiSeries.from_power_series(triple_product(c, M, N), 0)
         return None
 
-    forms: list[tuple[str, BiSeries]] = []
+    # (label, e1, e2, P1, P2)
+    specs = []
     second = tp(a + s)
     if a + s - d >= 0 and second is not None:
-        forms.append(("shifted-argument form", form(d - s, d, tp(a + s - d), second)))
+        specs.append(("shifted-argument form", d - s, d, tp(a + s - d), second))
     if d - a - s >= 0 and second is not None:
-        forms.append(("reflected-argument form", form(a + s, a, tp(d - a - s), second)))
+        specs.append(("reflected-argument form", a + s, a, tp(d - a - s), second))
     # bilateral-theta combination, valid for every parameter tuple
-    theta = form(d - s, d, theta_laurent(a + s - d, M, N), theta_laurent(a + s, M, N))
-    forms.append(("bilateral-theta form", theta))
+    theta = (theta_laurent(a + s - d, M, N), theta_laurent(a + s, M, N))
+    specs.append(("bilateral-theta form", d - s, d, *theta))
+
+    rows = {id(p): p for spec in specs for p in spec[3:]}  # second is shared
+    off = min(p.q_offset for p in rows.values())
+    L = N - off + 1
+    counts = partition_counts(flavor, L - 1)[:L]
+    top = {i: max(map(abs, p.rows[0]), default=0) for i, p in rows.items()}
+    numerator = max(2 * (top[id(p1)] + top[id(p2)]) for *_, p1, p2 in specs)
+    B = _packing.slot_width(numerator * ((L - 1) // d + 1) * L * max(counts))
+    packed = {i: _packing.pack(p.rows, L, B) << (p.q_offset - off) * B for i, p in rows.items()}
+    quotient = _packing.pack([counts], L, B)
+    mask = (1 << (L * B)) - 1
+    forms: list[tuple[str, BiSeries]] = []
+    for label, e1, e2, p1, p2 in specs:
+        u, v = packed[id(p1)], packed[id(p2)]
+        num = ((u << (e1 * B)) - (u << (e2 * B)) + v - (v << ((d - s) * B))) & mask
+        value = _packing.divide_unit(num, d, L, B) * quotient & mask
+        start = min(p1.q_offset, p2.q_offset)
+        row = _packing.read_slots(value, L, B)[start - off :]
+        forms.append((label, BiSeries([row], 0, N, start)))
     return forms
 
 
@@ -763,7 +774,7 @@ def x_one_exact_bound(k, a, d, s, flavor, x_order, trunc_order) -> int:
     X, N = x_order, trunc_order
     idc, _ = identification_conditions(k, a, d, s, flavor)
     if idc and identification_grounded(k, a, d, s, flavor):
-        return min(N - X, min_admissible_weight(k, a, flavor, X + 1) - 1)
+        return min(N - X, min_admissible_weight(k, a, flavor, X + 1, N - X + 1) - 1)
     # t_alpha(n) and t_beta(n) are eventually increasing in n; scan through
     # the last index at which either difference can still be negative
     scan_top = max(k + 1 - d + s + a, k + 1 - s - a, 1) // modulus(k, d, flavor) + 2
@@ -788,27 +799,50 @@ class XOneCheck:
         return all(r[1] for r in self.results)
 
 
+def _x_one_row(k, a, d, s, flavor, x_order, trunc_order) -> tuple[BiSeries, bool]:
+    """The x = 1 specialization of constructed_gf(..., require_ordinary=False)
+    (sum_x_rows of it) and whether that series is ordinary.
+
+    The summand terms are summed packed (_sum_terms) at the width of
+    x_order + 1 times their bound, so that adding the x-rows of the sum as
+    ints gives the packed x = 1 row.  The series is ordinary when every
+    row's slots below q^0 are zero bits.
+    """
+    X, N = x_order, trunc_order
+    terms = _constructed_terms(k, a, d, s, flavor, X, N)
+    bound = (X + 1) * sum(f.bound for f, *_ in terms)
+    span = _sum_terms(terms, X, N, _packing.slot_width(bound))
+    B, off = span.bits, span.q_offset
+    below = (1 << (-off * B)) - 1
+    ordinary = not any(r & below for r in span.rows)
+    n_slots = N - off + 1
+    row = sum(span.rows) & ((1 << (n_slots * B)) - 1)
+    return BiSeries([_packing.read_slots(row, n_slots, B)], 0, N, off), ordinary
+
+
 def x_one_check(k, a, d, s, flavor, x_order, trunc_order) -> XOneCheck:
     """Evaluate the construction at x = 1 and compare with every form.
 
-    The comparison window is capped at the tuple's provable exactness bound;
-    the specialization itself is formed in Laurent space so that every
-    parameter tuple (ordinary or not) is checkable.
+    The comparison window is capped at the tuple's provable exactness bound,
+    and both sides are built through q^bound only (q^0 if it is negative):
+    nothing past it is compared.  The specialization itself is formed in
+    Laurent space so that every parameter tuple (ordinary or not) is
+    checkable; the terms a shallower sum leaves out start above q^0, so its
+    negative powers, and hence the ordinary flag, are those of the full sum.
     """
-    g = constructed_gf(k, a, d, s, flavor, x_order, trunc_order, require_ordinary=False)
-    ev = sum_x_rows(g)
     bound = x_one_exact_bound(k, a, d, s, flavor, x_order, trunc_order)
+    top = max(bound, 0)
+    ev, ordinary = _x_one_row(k, a, d, s, flavor, x_order, top)
     idc, _ = identification_conditions(k, a, d, s, flavor)
     grounded = identification_grounded(k, a, d, s, flavor)
     results = []
-    truncated_eval = ev.truncated(max(bound, 0))
-    for label, form in x_one_product_forms(k, a, d, s, flavor, trunc_order):
+    for label, form in x_one_product_forms(k, a, d, s, flavor, top):
         if bound < 0:
             results.append((label, False, ("bound", bound, None, None)))
             continue
-        diff = truncated_eval.first_difference(form.truncated(bound))
+        diff = ev.first_difference(form)
         results.append((label, diff is None, diff))
-    return XOneCheck(bound, idc and grounded, g.is_ordinary(), results)
+    return XOneCheck(bound, idc and grounded, ordinary, results)
 
 
 def bridging_identity_holds(d: int, s: int, a: int) -> bool:

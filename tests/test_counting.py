@@ -260,6 +260,32 @@ def test_slot_width_holds_the_partition_count():
     assert counting._slot_bits(OVER, 400) > 64
 
 
+def test_slot_width_is_read_off_the_deepest_held_row(monkeypatch):
+    monkeypatch.setattr(counting, "_width_cache", {})
+    deep = counting.partition_counts(OVER, 60)
+    assert counting.partition_counts(OVER, 20) is deep
+    assert counting._slot_bits(OVER, 20) == (deep[20].bit_length() + 7) & ~7
+    assert counting.partition_counts(OVER, 61)[:61] == deep
+    assert list(counting._width_cache) == [OVER]
+
+
+def weight_mask_or_loop(stride, limit, rows, bits):
+    """The OR-one-row-at-a-time build of _weight_mask: its oracle."""
+    row = (1 << (bits * (limit + 1))) - 1
+    got = 0
+    for m in range(rows):
+        got |= row << (bits * stride * m)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.data(), st.integers(1, 30), st.sampled_from((8, 16, 24, 64, 72)))
+def test_weight_mask_matches_or_loop(stride, data, rows, bits):
+    limit = data.draw(st.integers(0, stride - 1))
+    got = counting._weight_mask(stride, limit, rows, bits)
+    assert got == weight_mask_or_loop(stride, limit, rows, bits)
+
+
 def test_identities_build_one_weight_only_dp_per_tuple(monkeypatch):
     built = []
     compute_totals = counting._compute_totals
@@ -600,6 +626,20 @@ def test_min_admissible_weight_small_cases():
             default=None,
         )
         assert best == min_admissible_weight(k, a, OVER, p)
+
+
+def test_capped_min_admissible_weight_is_min_of_weight_and_cap():
+    cases = 0
+    for k in range(2, 7):
+        for a in range(1, k + 1):
+            for flavor in (REGULAR, OVER):
+                for parts in range(14):
+                    weight = min_admissible_weight(k, a, flavor, parts)
+                    for cap in (0, 1, 7, weight, weight + 1, 60):
+                        got = min_admissible_weight(k, a, flavor, parts, cap)
+                        assert got == min(weight, cap), (k, a, flavor, parts, cap)
+                        cases += 1
+    assert cases == 3360
 
 
 def test_x_one_bounds_run_the_weight_dp_once_per_argument():

@@ -34,6 +34,7 @@ from qgordon.series import (
     poch_inf,
     q_poch_finite,
     q_poch_inf,
+    sum_x_rows,
     theta_bilateral,
     theta_laurent,
     triple_product,
@@ -628,6 +629,39 @@ def test_x_one_check_laurent_tuples():
         assert chk.ok, chk.results
 
 
+@pytest.mark.parametrize(
+    "k, a, d, s, flavor",
+    [(4, 4, 4, 3, REGULAR), (3, 3, 3, 2, OVER), (3, 2, 2, 1, REGULAR), (4, 1, 3, 2, OVER)],
+)
+def test_packed_specialization_matches_bivariate(k, a, d, s, flavor):
+    for x_order, trunc_order in ((8, 30), (10, 40), (3, 0)):
+        got, ordinary = gseries._x_one_row(k, a, d, s, flavor, x_order, trunc_order)
+        g = constructed_gf(k, a, d, s, flavor, x_order, trunc_order, require_ordinary=False)
+        assert got == sum_x_rows(g)
+        assert got.q_offset == g.q_offset
+        assert ordinary == g.is_ordinary()
+
+
+def test_x_one_ordinary_flag_reads_every_row(monkeypatch):
+    # q^-1 - x q^-1 vanishes at x = 1 but is not ordinary
+    f = gseries._Packed([1, 0, 0], 2, 10, -1, 64, 1)
+    terms = [(f, 1, 0, 0, False), (f, -1, 1, 0, False)]
+    monkeypatch.setattr(gseries, "_constructed_terms", lambda *args: terms)
+    row, ordinary = gseries._x_one_row(2, 1, 1, 0, REGULAR, 2, 10)
+    assert row.is_zero() and row.q_offset == -1
+    assert not ordinary
+
+
+def test_x_one_check_builds_no_bivariate_series(monkeypatch):
+    def no_gf(*args, **kwargs):
+        raise AssertionError("x_one_check read back a bivariate series")
+
+    monkeypatch.setattr(gseries, "constructed_gf", no_gf)
+    monkeypatch.setattr(gseries._Packed, "series", no_gf)
+    for k, a, d, s, flavor in ((4, 4, 4, 3, REGULAR), (3, 2, 2, 1, REGULAR), (3, 3, 1, 0, OVER)):
+        assert x_one_check(k, a, d, s, flavor, 8, 30).ok
+
+
 def reference_x_one_product_forms(k, a, d, s, flavor, trunc_order):
     """The product forms built by multiplying out series inverses of
     1 - q^d and (q; q)_inf: the oracle for the in-place divisions."""
@@ -699,6 +733,27 @@ def test_x_one_forms_match_inversion_reference(instance):
     assert [label for label, _ in got] == [label for label, _ in want]
     for (label, g), (_, w) in zip(got, want):
         assert g == w, label
+
+
+def test_x_one_forms_are_exact_past_64_bits(monkeypatch):
+    # at N = 360 the (4, 4, 1, 0) over forms have 66-bit coefficients
+    instance = (4, 4, 1, 0, OVER, 360)
+    want = reference_x_one_product_forms(*instance)
+    derive = _packing.slot_width
+    widths = []
+
+    def spy(bound):
+        widths.append(derive(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(_packing, "slot_width", spy)
+    assert x_one_product_forms(*instance) == want
+    assert widths and min(widths) > 64
+    # one word short of the derived width, the forms read back wrong
+    monkeypatch.setattr(_packing, "slot_width", lambda bound: derive(bound) - 64)
+    short = x_one_product_forms(*instance)
+    assert [label for label, _ in short] == [label for label, _ in want]
+    assert all(g != w for (_, g), (_, w) in zip(short, want))
 
 
 def test_x_one_forms_make_no_inversion(monkeypatch):

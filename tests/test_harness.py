@@ -231,8 +231,10 @@ def _digest(config) -> str:
 
 def test_canonical_reports_are_pinned():
     # the first 16 hex digits of the SHA-256 of the canonical JSON of the
-    # default run and of the x = 1 grid (criteria 07/08)
+    # default run, of the identities at N = 80 and of the x = 1 grid
+    # (criteria 07/08)
     assert _digest(SuiteConfig()) == "77451144f0aa7298"
+    assert _digest(SuiteConfig(checks=("identities",), trunc_order=80)) == "5588c539b0004d03"
     x_one_grid = SuiteConfig(
         checks=("gf-match", "product-eval"),
         ks=(2, 3, 4),

@@ -73,6 +73,16 @@ def test_pack_unpack_roundtrip():
     assert _packing.unpack(packed, 4, 9, bits, 4, 9) == rows
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=12),
+    st.sampled_from((8, 16, 64, 128)),
+)
+def test_pack_is_exact_for_coefficients_wider_than_a_slot(row, bits):
+    want = sum(c << (bits * i) for i, c in enumerate(row))
+    assert _packing.pack([row], len(row), bits) == want
+
+
 def test_empty_operands_give_zero():
     assert _packing.multiply_tables([], [[1, 2]], 2, 3) == [[0, 0, 0], [0, 0, 0]]
     assert _packing.convolve([], [1], 2) == [0, 0]
