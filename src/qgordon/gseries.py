@@ -723,12 +723,17 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
     N = trunc_order
     M = modulus(k, d, flavor)
 
-    def tp(c: int) -> Optional[BiSeries]:
+    # P rows as (q-offset, coefficients)
+    def tp(c: int) -> Optional[tuple]:
         if c == 0:
-            return BiSeries.zero(0, N)
+            return 0, ()
         if 1 <= c <= M:
-            return BiSeries.from_power_series(triple_product(c, M, N), 0)
+            return 0, triple_product(c, M, N).coeffs
         return None
+
+    def theta(c: int) -> tuple:
+        t = theta_laurent(c, M, N)
+        return t.q_offset, t.rows[0]
 
     # (label, e1, e2, P1, P2)
     specs = []
@@ -738,17 +743,16 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
     if d - a - s >= 0 and second is not None:
         specs.append(("reflected-argument form", a + s, a, tp(d - a - s), second))
     # bilateral-theta combination, valid for every parameter tuple
-    theta = (theta_laurent(a + s - d, M, N), theta_laurent(a + s, M, N))
-    specs.append(("bilateral-theta form", d - s, d, *theta))
+    specs.append(("bilateral-theta form", d - s, d, theta(a + s - d), theta(a + s)))
 
     rows = {id(p): p for spec in specs for p in spec[3:]}  # second is shared
-    off = min(p.q_offset for p in rows.values())
+    off = min(q_off for q_off, _ in rows.values())
     L = N - off + 1
     counts = partition_counts(flavor, L - 1)[:L]
-    top = {i: max(map(abs, p.rows[0]), default=0) for i, p in rows.items()}
+    top = {i: max(map(abs, row), default=0) for i, (_, row) in rows.items()}
     numerator = max(2 * (top[id(p1)] + top[id(p2)]) for *_, p1, p2 in specs)
     B = _packing.slot_width(numerator * ((L - 1) // d + 1) * L * max(counts))
-    packed = {i: _packing.pack(p.rows, L, B) << (p.q_offset - off) * B for i, p in rows.items()}
+    packed = {i: _packing.pack([row], L, B) << (q - off) * B for i, (q, row) in rows.items()}
     quotient = _packing.pack([counts], L, B)
     mask = (1 << (L * B)) - 1
     forms: list[tuple[str, BiSeries]] = []
@@ -756,7 +760,7 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
         u, v = packed[id(p1)], packed[id(p2)]
         num = ((u << (e1 * B)) - (u << (e2 * B)) + v - (v << ((d - s) * B))) & mask
         value = _packing.divide_unit(num, d, L, B) * quotient & mask
-        start = min(p1.q_offset, p2.q_offset)
+        start = min(p1[0], p2[0])
         row = _packing.read_slots(value, L, B)[start - off :]
         forms.append((label, BiSeries([row], 0, N, start)))
     return forms
