@@ -4,10 +4,14 @@ Two independent routes are provided for the multiplicity-side counters:
 
 * a frequency-window dynamic program over part values, whose states carry
   their counts as one packed integer each, so that a transition is a single
-  bigint shift-and-add.  It comes in two shapes over the same states and
+  bigint shift-and-add.  It runs backward, from the largest value down to 1
+  (the transfer-matrix method), so that a and s enter only at its last step:
+  one build answers every (a, s) of a (k, d, flavor) and fills the cache
+  entries of all of them.  It comes in two shapes over the same states and
   transitions: the (parts, weight) table behind count_table / count_mult,
   and a weight-only vector behind count_mult_totals / count_mult_total,
   which the identities check reads and which needs no per-row masks.  The
+  table's masks are shared between builds under a fixed byte budget.  The
   slot width of both is derived, not assumed: every count at weight
   n <= N is at most p(N) (p-bar(N) for overpartitions), rounded up to
   whole bytes, and the slots are read with _packing.read_slots;
@@ -24,13 +28,15 @@ the bound behind the DP slot width and is the (q; q)_inf quotient of the
 x = 1 product forms (gseries).
 
 All functions are pure; the memo tables are module-level dicts whose fills are
-idempotent, so concurrent use is safe.
+idempotent, and the mask budget is kept under a lock, so concurrent use is
+safe.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -184,6 +190,9 @@ def satisfies_mult_conditions(sol: FreqSolution, cp: CountParams) -> bool:
 
 _width_cache: dict[str, list[int]] = {}
 _mask_cache: dict[tuple[int, int, int, int], int] = {}
+_mask_bytes = 0  # total _mask_size of the masks in _mask_cache; both change under _mask_lock
+_mask_lock = threading.Lock()
+_MASK_BUDGET = 32 << 20  # bytes of masks that _mask_cache may hold
 _table_cache: dict[tuple[int, int, int, int, str], tuple[int, list[list[int]]]] = {}
 _totals_cache: dict[tuple[int, int, int, int, str], list[int]] = {}
 
@@ -227,101 +236,143 @@ def _slot_bits(flavor: str, n_max: int) -> int:
 
 def _weight_mask(stride: int, limit: int, rows: int, bits: int) -> int:
     """All-ones slots (m, n) with m < rows and n <= limit, rows of stride
-    slots, built from one repeated byte pattern (bits is a multiple of 8)."""
+    slots, built from one repeated byte pattern (bits is a multiple of 8).
+
+    Masks are shared between builds through _mask_cache, which holds at most
+    _MASK_BUDGET bytes of them: a new mask evicts the oldest ones until it
+    fits, and one larger than the whole budget is not held at all."""
+    global _mask_bytes
     key = (stride, limit, rows, bits)
     got = _mask_cache.get(key)
     if got is None:
         nbytes = bits // 8
         row = b"\xff" * (nbytes * (limit + 1)) + bytes(nbytes * (stride - limit - 1))
-        got = _mask_cache[key] = int.from_bytes(row * rows, "little")
+        got = int.from_bytes(row * rows, "little")
+        size = _mask_size(got)
+        with _mask_lock:
+            if size <= _MASK_BUDGET and key not in _mask_cache:
+                while _mask_bytes + size > _MASK_BUDGET:
+                    _mask_bytes -= _mask_size(_mask_cache.pop(next(iter(_mask_cache))))
+                _mask_cache[key] = got
+                _mask_bytes += size
     return got
 
 
-def _window_ok(k: int, d: int, a: int, s: int, prev: int, g: int, i: int, rho: int) -> bool:
-    # window at value i is prev + g (prev = f_i + fbar_i, g = f_{i+1})
-    window = prev + g
-    if window >= k:
-        return False
-    delta = k - window
-    if 1 <= delta <= d - 1:
-        f_odd = prev if i % 2 else g
-        if (a + s - 1 - f_odd - rho) % d > delta - 1:
-            return False
-    return True
+def _mask_size(mask: int) -> int:
+    """Bytes that a mask is counted at against _MASK_BUDGET."""
+    return (mask.bit_length() + 7) // 8
 
 
-def _window_dp(cp: CountParams, n_max: int, move) -> int:
-    """Run the frequency-window DP over part values 1..n_max.
+def _window_dp(k: int, d: int, flavor: str, n_max: int, move) -> dict[tuple[int, int], int]:
+    """Run the frequency-window DP of (k, d, flavor) backward over the part
+    values, and return the packed count vector of every (a, s), 1 <= a <= k,
+    0 <= s <= d - 1 (at a = 0 every count is 0).
 
-    States are (f_v + fbar_v, rho(v) mod d), each holding a packed vector of
-    counts; move(packed, p, w) returns the vector after p more parts of total
-    weight w (0 < w <= n_max), with whatever falls past n_max dropped.
-    Returns the sum of the vectors of the admissible final states.
+    The state before value v is (prev, r): prev = f_(v-1) + fbar_(v-1) and
+    r = (a + s - 1 - rho(v-1)) mod d.  In these terms the window test at i is
+    (r - f_odd) mod d <= delta - 1, free of a and s, so B_v(prev, r), the
+    vector of every admissible completion by the values v, v+1, ..., is shared
+    by the whole group; a and s enter only at v = 1, through f_1 < a and the
+    start residue r = a + s - 1.  move(packed, p, w) returns the vector after
+    p more parts of total weight w (0 < w <= n_max), with whatever falls past
+    the bounds dropped; the completions of (p, r') after value v are moved
+    once per v and shared by every state that reaches them.
     """
-    k, a, d, s = cp.k, cp.a, cp.d, cp.s
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
-    gbar_choices = (0, 1) if cp.is_over else (0,)
-    for v in range(1, n_max + 1):
-        new_states: dict[tuple[int, int], int] = {}
+    lined = (0, 1) if flavor == OVER else (0,)
+
+    def window_ok(i: int, prev: int, g: int, r: int) -> bool:
+        # window at value i is prev + g (prev = f_i + fbar_i, g = f_(i+1))
+        delta = k - prev - g
+        if 1 <= delta <= d - 1:
+            return (r - (prev if i % 2 else g)) % d <= delta - 1
+        return delta > 0
+
+    # allowed[i % 2][prev][r]: every g = f_(i+1) for which the window at i holds
+    allowed = [
+        [[[g for g in range(k - prev) if window_ok(i, prev, g, r)] for r in range(d)]
+         for prev in range(k)]
+        for i in (0, 1)
+    ]
+
+    def entered(later: dict[tuple[int, int], int], v: int) -> dict[tuple[int, int], int]:
+        # [g, r]: the completions from v on with f_v = g and the state before
+        # v at residue r, summed over fbar_v; rho(v) = rho(v-1) + sign * fbar_v
         sign = 1 if v % 2 == 0 else -1
-        for (prev, rho), packed in states.items():
-            for g in range(0, k - prev):
-                if v == 1 and g >= a:
-                    break
-                if v > 1 and not _window_ok(k, d, a, s, prev, g, v - 1, rho):
-                    continue
-                for gbar in gbar_choices:
-                    p = g + gbar
-                    if p > k - 1:
-                        continue
-                    w = v * p
-                    if w > n_max:
-                        continue
-                    moved = move(packed, p, w) if w else packed
-                    if not moved:
-                        continue
-                    key = (p, (rho + sign * gbar) % d)
-                    new_states[key] = new_states.get(key, 0) + moved
-        states = new_states
-    return sum(
-        packed
-        for (prev, rho), packed in states.items()
-        if _window_ok(k, d, a, s, prev, 0, n_max, rho)
-    )
+        moved = {}
+        for (p, r), packed in later.items():
+            w = v * p
+            if w <= n_max:
+                moved[p, r] = move(packed, p, w) if w else packed
+        sums = {}
+        for g in range(k):
+            for r in range(d):
+                total = sum(moved.get((g + gbar, (r - sign * gbar) % d), 0) for gbar in lined)
+                if total:
+                    sums[g, r] = total
+        return sums
+
+    states = {
+        (prev, r): 1 for prev in range(k) for r in range(d) if window_ok(n_max, prev, 0, r)
+    }
+    for v in range(n_max, 1, -1):
+        sums = entered(states, v)
+        states = {}
+        for prev in range(k):
+            for r in range(d):
+                total = sum(sums.get((g, r), 0) for g in allowed[(v - 1) % 2][prev][r])
+                if total:
+                    states[prev, r] = total
+    sums = entered(states, 1)
+    return {
+        (a, s): sum(sums.get((g, (a + s - 1) % d), 0) for g in range(a))
+        for a in range(1, k + 1)
+        for s in range(d)
+    }
 
 
-def _compute_table(cp: CountParams, n_max: int, parts: int) -> list[list[int]]:
-    """Table of counts by number of parts 0..parts and weight 0..n_max.
+def _group_keys(k: int, d: int, flavor: str) -> list[tuple[int, int, int, int, str]]:
+    """Cache keys of every (a, s) that one build of (k, d, flavor) answers."""
+    return [(k, a, d, s, flavor) for a in range(1, k + 1) for s in range(d)]
+
+
+def _compute_table(
+    k: int, d: int, flavor: str, n_max: int, parts: int
+) -> dict[tuple[int, int], list[list[int]]]:
+    """Tables of counts by number of parts 0..parts and weight 0..n_max, one
+    for every (a, s) of the group (k, d, flavor).
 
     Slot (m, n) of the packed vector sits at m * (n_max + 1) + n.  A move of
     p parts of weight w keeps the slots with n + w <= n_max and m + p <= parts;
     that is no more than n_max - w + 1 rows, since m parts weigh at least m.
     """
     stride = n_max + 1
-    if cp.a <= 0:
-        return [[0] * stride for _ in range(parts + 1)]
-    bits = _slot_bits(cp.flavor, n_max)
+    bits = _slot_bits(flavor, n_max)
 
     def move(packed: int, p: int, w: int) -> int:
         limit = n_max - w
         mask = _weight_mask(stride, limit, min(parts - p, limit) + 1, bits)
         return (packed & mask) << (bits * (p * stride + w))
 
-    flat = read_slots(_window_dp(cp, n_max, move), (parts + 1) * stride, bits, signed=False)
-    return [flat[m * stride : (m + 1) * stride] for m in range(parts + 1)]
+    tables = {}
+    for start, packed in _window_dp(k, d, flavor, n_max, move).items():
+        flat = read_slots(packed, (parts + 1) * stride, bits, signed=False)
+        tables[start] = [flat[m * stride : (m + 1) * stride] for m in range(parts + 1)]
+    return tables
 
 
-def _compute_totals(cp: CountParams, n_max: int) -> list[int]:
-    """Counts by weight alone, up to n_max: one packed slot per weight."""
-    if cp.a <= 0:
-        return [0] * (n_max + 1)
-    bits = _slot_bits(cp.flavor, n_max)
+def _compute_totals(k: int, d: int, flavor: str, n_max: int) -> dict[tuple[int, int], list[int]]:
+    """Counts by weight alone, up to n_max, one list for every (a, s) of the
+    group (k, d, flavor): one packed slot per weight."""
+    bits = _slot_bits(flavor, n_max)
     window = (1 << (bits * (n_max + 1))) - 1
 
     def move(packed: int, p: int, w: int) -> int:
         return (packed << (bits * w)) & window
 
-    return read_slots(_window_dp(cp, n_max, move), n_max + 1, bits, signed=False)
+    return {
+        start: read_slots(packed, n_max + 1, bits, signed=False)
+        for start, packed in _window_dp(k, d, flavor, n_max, move).items()
+    }
 
 
 def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> list[list[int]]:
@@ -330,19 +381,22 @@ def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> lis
     The parts bound: rows 0..parts (default n_max, every row that can be
     nonzero) and weights 0..n_max are exact.  Any held table with at least
     as many rows and weights serves the request, so the table returned may
-    be larger; a miss builds the larger of the held and requested bounds.
+    be larger.  A miss builds the tables of every (a, s) of the group
+    (k, d, flavor) at once, at the largest bounds requested or held in that
+    group, so that no held table is replaced by a smaller one.
     """
     parts = n_max if parts is None else min(parts, n_max)
+    if cp.a == 0:
+        return [[0] * (n_max + 1) for _ in range(parts + 1)]
     key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
     cached = _table_cache.get(key)
-    if cached is not None:
-        held_n, table = cached
-        if held_n >= n_max and len(table) > parts:
-            return table
+    if cached is not None and cached[0] >= n_max and len(cached[1]) > parts:
+        return cached[1]
+    for held_n, table in filter(None, map(_table_cache.get, _group_keys(cp.k, cp.d, cp.flavor))):
         n_max, parts = max(n_max, held_n), max(parts, len(table) - 1)
-    table = _compute_table(cp, n_max, parts)
-    _table_cache[key] = (n_max, table)
-    return table
+    for (a, s), table in _compute_table(cp.k, cp.d, cp.flavor, n_max, parts).items():
+        _table_cache[cp.k, a, cp.d, s, cp.flavor] = (n_max, table)
+    return _table_cache[key][1]
 
 
 def count_mult(cp: CountParams, m: int, n: int) -> int:
@@ -356,12 +410,20 @@ def count_mult_totals(cp: CountParams, n_max: int) -> list[int]:
     """Numbers of admissible solutions of weight 0..n_max (any number of parts).
 
     Built by the weight-only DP, without the parts axis, and cached per
-    tuple; a request no larger than the held list is served from it.
+    tuple; a request no larger than the held list is served from it.  A miss
+    builds the lists of every (a, s) of the group (k, d, flavor) at once,
+    through the largest weight requested or held in that group.
     """
+    if cp.a == 0:
+        return [0] * (n_max + 1)
     key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
     held = _totals_cache.get(key)
     if held is None or len(held) <= n_max:
-        held = _totals_cache[key] = _compute_totals(cp, n_max)
+        group = filter(None, map(_totals_cache.get, _group_keys(cp.k, cp.d, cp.flavor)))
+        top = max([n_max] + [len(totals) - 1 for totals in group])
+        for (a, s), totals in _compute_totals(cp.k, cp.d, cp.flavor, top).items():
+            _totals_cache[cp.k, a, cp.d, s, cp.flavor] = totals
+        held = _totals_cache[key]
     return held[: n_max + 1]
 
 

@@ -2,6 +2,8 @@
 
 import io
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -203,21 +205,155 @@ def test_weight_only_dp_matches_table_and_brute_force(cp, n_max):
         assert totals[n] == count_mult_brute(cp, None, n), (cp, n)
 
 
-@settings(max_examples=40, deadline=None)
-@given(count_params(), st.integers(0, 25), st.integers(0, 25))
-def test_partial_table_is_the_first_rows_of_the_full_table(cp, n_max, parts):
+def forward_window_dp(cp, n_max, move):
+    """The forward frequency-window DP, one (a, s) at a time: the oracle of
+    the backward group build.  States are (f_v + fbar_v, rho(v) mod d)."""
+    k, a, d, s = cp.k, cp.a, cp.d, cp.s
+
+    def window_ok(prev, g, i, rho):
+        # window at value i is prev + g (prev = f_i + fbar_i, g = f_(i+1))
+        window = prev + g
+        if window >= k:
+            return False
+        delta = k - window
+        if 1 <= delta <= d - 1:
+            f_odd = prev if i % 2 else g
+            if (a + s - 1 - f_odd - rho) % d > delta - 1:
+                return False
+        return True
+
+    states = {(0, 0): 1}
+    gbar_choices = (0, 1) if cp.is_over else (0,)
+    for v in range(1, n_max + 1):
+        new_states = {}
+        sign = 1 if v % 2 == 0 else -1
+        for (prev, rho), packed in states.items():
+            for g in range(0, k - prev):
+                if v == 1 and g >= a:
+                    break
+                if v > 1 and not window_ok(prev, g, v - 1, rho):
+                    continue
+                for gbar in gbar_choices:
+                    p = g + gbar
+                    w = v * p
+                    if p > k - 1 or w > n_max:
+                        continue
+                    moved = move(packed, p, w) if w else packed
+                    if moved:
+                        key = (p, (rho + sign * gbar) % d)
+                        new_states[key] = new_states.get(key, 0) + moved
+        states = new_states
+    return sum(
+        packed for (prev, rho), packed in states.items() if window_ok(prev, 0, n_max, rho)
+    )
+
+
+def forward_table(cp, n_max, parts):
+    """(parts, weight) table of one tuple by the forward DP, its masks built
+    by the OR loop."""
+    stride = n_max + 1
+    if cp.a <= 0:
+        return [[0] * stride for _ in range(parts + 1)]
+    bits = counting._slot_bits(cp.flavor, n_max)
+
+    def move(packed, p, w):
+        limit = n_max - w
+        mask = weight_mask_or_loop(stride, limit, min(parts - p, limit) + 1, bits)
+        return (packed & mask) << (bits * (p * stride + w))
+
+    packed = forward_window_dp(cp, n_max, move)
+    flat = _packing.read_slots(packed, (parts + 1) * stride, bits, signed=False)
+    return [flat[m * stride : (m + 1) * stride] for m in range(parts + 1)]
+
+
+def forward_totals(cp, n_max):
+    """Counts by weight of one tuple by the forward DP."""
+    if cp.a <= 0:
+        return [0] * (n_max + 1)
+    bits = counting._slot_bits(cp.flavor, n_max)
+    window = (1 << (bits * (n_max + 1))) - 1
+
+    def move(packed, p, w):
+        return (packed << (bits * w)) & window
+
+    return _packing.read_slots(forward_window_dp(cp, n_max, move), n_max + 1, bits, signed=False)
+
+
+def group_starts(k, d):
+    """The (a, s) that one build of a (k, d, flavor) group answers."""
+    return {(a, s) for a in range(1, k + 1) for s in range(d)}
+
+
+groups = st.tuples(
+    st.integers(2, 5), st.integers(1, 5), st.sampled_from((REGULAR, OVER))
+).filter(lambda group: group[1] <= group[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups, st.integers(0, 25), st.integers(0, 25))
+@example((5, 5, OVER), 0, 0)
+@example((4, 3, REGULAR), 1, 1)
+@example((3, 2, OVER), 1, 0)
+def test_group_build_matches_forward_dp(group, n_max, parts):
+    k, d, flavor = group
     parts = min(parts, n_max)
-    full = counting._compute_table(cp, n_max, n_max)
-    assert counting._compute_table(cp, n_max, parts) == full[: parts + 1]
+    tables = counting._compute_table(k, d, flavor, n_max, parts)
+    totals = counting._compute_totals(k, d, flavor, n_max)
+    assert set(tables) == set(totals) == group_starts(k, d)
+    for (a, s), table in tables.items():
+        cp = CountParams(k, a, d, s, flavor)
+        assert table == forward_table(cp, n_max, parts), (a, s)
+        assert totals[a, s] == forward_totals(cp, n_max), (a, s)
+
+
+def test_group_build_at_the_smallest_bounds(monkeypatch):
+    # N = 0 holds the empty solution alone, N = 1 adds the part 1 (and 1-bar);
+    # a = 0 admits nothing
+    monkeypatch.setattr(counting, "_table_cache", {})
+    monkeypatch.setattr(counting, "_totals_cache", {})
+    for k, d, flavor in ((2, 1, REGULAR), (3, 2, OVER), (4, 3, REGULAR), (5, 5, OVER)):
+        for n_max in (0, 1):
+            for a in range(k + 1):
+                for s in range(d):
+                    cp = CountParams(k, a, d, s, flavor)
+                    table = [row[: n_max + 1] for row in count_table(cp, n_max)[: n_max + 1]]
+                    totals = count_mult_totals(cp, n_max)
+                    assert table == forward_table(cp, n_max, n_max), (cp, n_max)
+                    assert totals == forward_totals(cp, n_max), (cp, n_max)
+                    assert totals == [count_mult_brute(cp, None, n) for n in range(n_max + 1)]
+                    if n_max == 0:
+                        assert table == [[1 if a else 0]]
+
+
+def test_group_build_matches_brute_force():
+    n_max = 10
+    for k, d, flavor in ((2, 2, OVER), (3, 3, REGULAR), (4, 2, OVER), (5, 4, REGULAR)):
+        tables = counting._compute_table(k, d, flavor, n_max, n_max)
+        expected = {start: [[0] * (n_max + 1) for _ in range(n_max + 1)] for start in tables}
+        for n in range(n_max + 1):
+            for sol in iter_freq_solutions(n, flavor):
+                for a, s in expected:
+                    if satisfies_mult_conditions(sol, CountParams(k, a, d, s, flavor)):
+                        expected[a, s][sol.num_parts][n] += 1
+        assert tables == expected, (k, d, flavor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups, st.integers(0, 25), st.integers(0, 25))
+def test_partial_table_is_the_first_rows_of_the_full_table(group, n_max, parts):
+    parts = min(parts, n_max)
+    full = counting._compute_table(*group, n_max, n_max)
+    partial = counting._compute_table(*group, n_max, parts)
+    assert partial == {start: table[: parts + 1] for start, table in full.items()}
 
 
 def test_held_table_serves_smaller_requests(monkeypatch):
     built = []
     compute_table = counting._compute_table
 
-    def spy_table(cp, n_max, parts):
+    def spy_table(k, d, flavor, n_max, parts):
         built.append((n_max, parts))
-        return compute_table(cp, n_max, parts)
+        return compute_table(k, d, flavor, n_max, parts)
 
     monkeypatch.setattr(counting, "_table_cache", {})
     monkeypatch.setattr(counting, "_compute_table", spy_table)
@@ -237,6 +373,68 @@ def test_held_table_serves_smaller_requests(monkeypatch):
     count_table(cp, 12, 3)
     count_table(cp, 8, 6)
     assert built[2:] == [(12, 3), (12, 6)]
+
+
+def test_group_build_holds_the_union_of_its_bounds(monkeypatch):
+    built = []
+    compute_table, compute_totals = counting._compute_table, counting._compute_totals
+
+    def spy_table(k, d, flavor, n_max, parts):
+        built.append((k, d, flavor, n_max, parts))
+        return compute_table(k, d, flavor, n_max, parts)
+
+    def spy_totals(k, d, flavor, n_max):
+        built.append((k, d, flavor, n_max))
+        return compute_totals(k, d, flavor, n_max)
+
+    monkeypatch.setattr(counting, "_table_cache", {})
+    monkeypatch.setattr(counting, "_totals_cache", {})
+    monkeypatch.setattr(counting, "_compute_table", spy_table)
+    monkeypatch.setattr(counting, "_compute_totals", spy_totals)
+    group = sorted((3, a, 2, s, OVER) for a, s in group_starts(3, 2))
+    # one build fills every (a, s) of the group
+    count_table(CountParams(3, 2, 2, 1, OVER), 20, 4)
+    assert built == [(3, 2, OVER, 20, 4)]
+    assert sorted(counting._table_cache) == group
+    assert len(count_table(CountParams(3, 1, 2, 0, OVER), 12, 3)) == 5
+    assert len(built) == 1
+    # more rows but fewer weights: the miss builds the union for the whole
+    # group, so no held table shrinks
+    count_table(CountParams(3, 3, 2, 0, OVER), 10, 8)
+    assert built[1:] == [(3, 2, OVER, 20, 8)]
+    for key in group:
+        held_n, table = counting._table_cache[key]
+        assert (held_n, len(table)) == (20, 9), key
+    # another group is built on its own and leaves this one alone
+    count_table(CountParams(3, 2, 1, 0, OVER), 5, 2)
+    assert built[2:] == [(3, 1, OVER, 5, 2)]
+    assert all(counting._table_cache[key][0] == 20 for key in group)
+    # the weight-only lists follow the same rule
+    count_mult_totals(CountParams(3, 2, 2, 1, OVER), 30)
+    assert len(count_mult_totals(CountParams(3, 3, 2, 0, OVER), 10)) == 11
+    count_mult_totals(CountParams(3, 1, 2, 1, OVER), 35)
+    assert built[3:] == [(3, 2, OVER, 30), (3, 2, OVER, 35)]
+    assert all(len(counting._totals_cache[key]) == 36 for key in group)
+
+
+def test_x_one_grid_builds_one_table_per_group(monkeypatch):
+    # criteria 07/08: gf-match reads the tables of the 54 identified tuples,
+    # which fall in 12 (k, d, flavor) groups
+    built = []
+    compute_table = counting._compute_table
+
+    def spy_table(k, d, flavor, n_max, parts):
+        built.append((k, d, flavor))
+        return compute_table(k, d, flavor, n_max, parts)
+
+    monkeypatch.setattr(counting, "_table_cache", {})
+    monkeypatch.setattr(counting, "_compute_table", spy_table)
+    config = SuiteConfig(
+        checks=("gf-match", "product-eval"), ks=(2, 3, 4), ds=(1, 2, 3, 4),
+        trunc_order=40, x_order=10,
+    )
+    run_suite(config)
+    assert len(built) == len(set(built)) == 12
 
 
 def test_weight_only_dp_is_exact_past_64_bits():
@@ -286,25 +484,83 @@ def test_weight_mask_matches_or_loop(stride, data, rows, bits):
     assert got == weight_mask_or_loop(stride, limit, rows, bits)
 
 
-def test_identities_build_one_weight_only_dp_per_tuple(monkeypatch):
+def test_identities_build_one_weight_only_dp_per_group(monkeypatch):
     built = []
     compute_totals = counting._compute_totals
 
-    def spy_totals(cp, n_max):
-        built.append((cp, n_max))
-        return compute_totals(cp, n_max)
+    def spy_totals(k, d, flavor, n_max):
+        built.append((k, d, flavor, n_max))
+        return compute_totals(k, d, flavor, n_max)
 
-    def no_table(cp, n_max):
+    def no_table(k, d, flavor, n_max, parts):
         raise AssertionError("the identities check built a (parts, weight) table")
 
     monkeypatch.setattr(counting, "_totals_cache", {})
     monkeypatch.setattr(counting, "_compute_totals", spy_totals)
     monkeypatch.setattr(counting, "_compute_table", no_table)
     reports = run_suite(SuiteConfig(checks=("identities",), ks=(2, 3), trunc_order=40))
-    ran = [r for r in reports if r.status != "skipped"]
-    assert ran
-    assert len(built) == len(set(built)) == len(ran)
-    assert all(n_max == 40 for _, n_max in built)
+    assert any(r.status != "skipped" for r in reports)
+    # k in (2, 3), d in (1, 2), both flavors
+    assert len(built) == len(set(built)) == 8
+    assert all(n_max == 40 for *_, n_max in built)
+
+
+def test_mask_cache_stays_under_its_byte_budget(monkeypatch):
+    budget = 1 << 20
+    monkeypatch.setattr(counting, "_mask_cache", {})
+    monkeypatch.setattr(counting, "_mask_bytes", 0)
+    unbounded = {flavor: counting._compute_table(2, 1, flavor, 120, 120) for flavor in (REGULAR, OVER)}
+    needed = len(counting._mask_cache)
+    assert sum(map(counting._mask_size, counting._mask_cache.values())) > 4 * budget
+
+    held = []
+    weight_mask = counting._weight_mask
+
+    def spy_mask(*args):
+        got = weight_mask(*args)
+        assert got == weight_mask_or_loop(*args)
+        held.append(sum(map(counting._mask_size, counting._mask_cache.values())))
+        assert held[-1] == counting._mask_bytes
+        return got
+
+    monkeypatch.setattr(counting, "_mask_cache", {})
+    monkeypatch.setattr(counting, "_mask_bytes", 0)
+    monkeypatch.setattr(counting, "_MASK_BUDGET", budget)
+    monkeypatch.setattr(counting, "_weight_mask", spy_mask)
+    for flavor in (REGULAR, OVER):
+        assert counting._compute_table(2, 1, flavor, 120, 120) == unbounded[flavor]
+    assert held and max(held) <= budget
+    assert 0 < len(counting._mask_cache) < needed
+
+
+def test_mask_budget_holds_under_threads(monkeypatch):
+    budget = 1 << 16
+    monkeypatch.setattr(counting, "_mask_cache", {})
+    monkeypatch.setattr(counting, "_mask_bytes", 0)
+    monkeypatch.setattr(counting, "_MASK_BUDGET", budget)
+    errors = []
+
+    def worker(seed):
+        try:
+            for i in range(2000):
+                counting._weight_mask(41, (i * seed) % 41, 1 + i % 7, 64)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(1, 7)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    held = sum(map(counting._mask_size, counting._mask_cache.values()))
+    assert held == counting._mask_bytes <= budget
 
 
 def test_identities_build_each_congruence_series_once(monkeypatch):
