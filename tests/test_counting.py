@@ -509,7 +509,8 @@ def test_mask_cache_stays_under_its_byte_budget(monkeypatch):
     budget = 1 << 20
     monkeypatch.setattr(counting, "_mask_cache", {})
     monkeypatch.setattr(counting, "_mask_bytes", 0)
-    unbounded = {flavor: counting._compute_table(2, 1, flavor, 120, 120) for flavor in (REGULAR, OVER)}
+    flavors = (REGULAR, OVER)
+    unbounded = {flavor: counting._compute_table(2, 1, flavor, 120, 120) for flavor in flavors}
     needed = len(counting._mask_cache)
     assert sum(map(counting._mask_size, counting._mask_cache.values())) > 4 * budget
 
@@ -527,7 +528,7 @@ def test_mask_cache_stays_under_its_byte_budget(monkeypatch):
     monkeypatch.setattr(counting, "_mask_bytes", 0)
     monkeypatch.setattr(counting, "_MASK_BUDGET", budget)
     monkeypatch.setattr(counting, "_weight_mask", spy_mask)
-    for flavor in (REGULAR, OVER):
+    for flavor in flavors:
         assert counting._compute_table(2, 1, flavor, 120, 120) == unbounded[flavor]
     assert held and max(held) <= budget
     assert 0 < len(counting._mask_cache) < needed
