@@ -1,10 +1,12 @@
-"""Exact truncated formal power series in q and in (x, q).
+"""Exact truncated formal power series in (x, q), and in q alone.
 
 All coefficients are arbitrary-precision Python ints; nothing is ever rounded.
-A PowerSeries holds coefficients for q-exponents 0..trunc_order.  A BiSeries
-holds coefficients for x-exponents 0..x_order and q-exponents
-q_offset..trunc_order, where q_offset may be negative (Laurent head room for
-the q^(-n a) factors that appear in the constructed series).
+One ring implementation, BiSeries, holds coefficients for x-exponents
+0..x_order and q-exponents q_offset..trunc_order, where q_offset may be
+negative (Laurent head room for the q^(-n a) factors that appear in the
+constructed series).  PowerSeries is its x_order = 0, q_offset = 0 case: a
+subclass with a univariate constructor and accessors, whose arithmetic is
+BiSeries's and returns PowerSeries.
 
 Completeness contract: an instance stores the *exact* coefficients of the
 series it represents on its stated window; content above trunc_order is
@@ -23,7 +25,7 @@ update a caller's own list-of-rows table in place.
 from __future__ import annotations
 
 import csv
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from . import _packing
 
@@ -38,144 +40,6 @@ class DomainError(ValueError):
 
 class OrdinarinessError(ValueError):
     """A series expected to have no negative q-exponents has one."""
-
-
-class PowerSeries:
-    """Truncated exact power series in q (exponents 0..trunc_order)."""
-
-    __slots__ = ("trunc_order", "coeffs")
-
-    def __init__(self, coeffs: Iterable[int], trunc_order: int):
-        if trunc_order < 0:
-            raise DomainError("trunc_order must be non-negative")
-        cs = list(coeffs)
-        if len(cs) > trunc_order + 1:
-            raise ValueError("more coefficients than trunc_order allows")
-        cs += [0] * (trunc_order + 1 - len(cs))
-        object.__setattr__(self, "trunc_order", trunc_order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("PowerSeries is immutable")
-
-    @classmethod
-    def zero(cls, trunc_order: int) -> "PowerSeries":
-        return cls((), trunc_order)
-
-    @classmethod
-    def one(cls, trunc_order: int) -> "PowerSeries":
-        return cls((1,), trunc_order)
-
-    @classmethod
-    def monomial(cls, coeff: int, q_exp: int, trunc_order: int) -> "PowerSeries":
-        if q_exp < 0:
-            raise DomainError("PowerSeries cannot hold negative q-exponents")
-        if q_exp > trunc_order:
-            return cls.zero(trunc_order)
-        cs = [0] * (q_exp + 1)
-        cs[q_exp] = coeff
-        return cls(cs, trunc_order)
-
-    def coefficient(self, n: int) -> int:
-        if n > self.trunc_order:
-            raise TruncationMismatch(
-                f"coefficient of q^{n} lies beyond truncation order {self.trunc_order}"
-            )
-        return self.coeffs[n] if n >= 0 else 0
-
-    def _check(self, other: "PowerSeries") -> None:
-        if self.trunc_order != other.trunc_order:
-            raise TruncationMismatch(
-                f"truncation orders differ: {self.trunc_order} vs {other.trunc_order}"
-            )
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.trunc_order
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.trunc_order
-        )
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-a for a in self.coeffs], self.trunc_order)
-
-    def __mul__(self, other: Union["PowerSeries", int]) -> "PowerSeries":
-        if isinstance(other, int):
-            return PowerSeries([other * a for a in self.coeffs], self.trunc_order)
-        self._check(other)
-        out = _packing.convolve(list(self.coeffs), list(other.coeffs), self.trunc_order + 1)
-        return PowerSeries(out, self.trunc_order)
-
-    def __rmul__(self, other: int) -> "PowerSeries":
-        return self.__mul__(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.trunc_order == other.trunc_order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.trunc_order, self.coeffs))
-
-    def __repr__(self) -> str:
-        terms = [
-            f"{c}*q^{n}" for n, c in enumerate(self.coeffs) if c and n <= min(8, self.trunc_order)
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"PowerSeries({body} + O(q^{self.trunc_order + 1}))"
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def times_monomial(self, coeff: int, q_exp: int) -> "PowerSeries":
-        if q_exp < 0:
-            raise DomainError("PowerSeries cannot be shifted to negative exponents")
-        cs = [0] * min(q_exp, self.trunc_order + 1) + [
-            coeff * c for c in self.coeffs[: self.trunc_order + 1 - q_exp]
-        ]
-        return PowerSeries(cs, self.trunc_order)
-
-    def truncated(self, new_order: int) -> "PowerSeries":
-        if new_order > self.trunc_order:
-            raise TruncationMismatch("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[: new_order + 1], new_order)
-
-    def invert_unit(self) -> "PowerSeries":
-        """Multiplicative inverse; constant term must be +1 or -1."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise DomainError("constant term must be a unit (+1 or -1)")
-        n = self.trunc_order
-        g = [0] * (n + 1)
-        g[0] = c0  # 1/c0 == c0 for c0 in {1, -1}
-        f = self.coeffs
-        for j in range(1, n + 1):
-            acc = 0
-            for v in range(1, j + 1):
-                if f[v]:
-                    acc += f[v] * g[j - v]
-            g[j] = -c0 * acc
-        return PowerSeries(g, n)
-
-    def first_difference(self, other: "PowerSeries"):
-        """First (n, self_coeff, other_coeff) where the two differ, or None."""
-        self._check(other)
-        for n, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
-            if a != b:
-                return (n, a, b)
-        return None
-
-
-class XOneResult(NamedTuple):
-    """Result of an x = 1 specialization with its guaranteed-exact q-degree."""
-
-    series: PowerSeries
-    exact_order: int
 
 
 class BiSeries:
@@ -211,7 +75,15 @@ class BiSeries:
         object.__setattr__(self, "rows", tuple(full))
 
     def __setattr__(self, *args):
-        raise AttributeError("BiSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, rows, trunc_order: int, q_offset: int) -> "BiSeries":
+        """A result of an operation on self, at self's x_order and of its type.
+
+        Every operation builds its result here, so a subclass that overrides
+        this hook gets results of its own type.
+        """
+        return BiSeries(rows, self.x_order, trunc_order, q_offset)
 
     @classmethod
     def zero(cls, x_order: int, trunc_order: int) -> "BiSeries":
@@ -233,8 +105,8 @@ class BiSeries:
         return cls(rows, x_order, trunc_order, q_offset=q_exp)
 
     @classmethod
-    def from_power_series(cls, ps: PowerSeries, x_order: int) -> "BiSeries":
-        return cls((list(ps.coeffs),), x_order, ps.trunc_order)
+    def from_power_series(cls, ps: "PowerSeries", x_order: int) -> "BiSeries":
+        return cls(ps.rows, x_order, ps.trunc_order)
 
     def coefficient(self, x_exp: int, q_exp: int) -> int:
         if x_exp > self.x_order or q_exp > self.trunc_order:
@@ -261,24 +133,20 @@ class BiSeries:
             row = list(a)
             row[cut:] = [u + v for u, v in zip(a[cut:], b)]
             rows.append(row)
-        return BiSeries(rows, self.x_order, self.trunc_order, lo.q_offset)
+        return self._like(rows, self.trunc_order, lo.q_offset)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self.__add__(-other)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(
-            [[-c for c in row] for row in self.rows],
-            self.x_order,
-            self.trunc_order,
-            self.q_offset,
+        return self._like(
+            [[-c for c in row] for row in self.rows], self.trunc_order, self.q_offset
         )
 
-    def __mul__(self, other: Union["BiSeries", int]) -> "BiSeries":
+    def __mul__(self, other: "BiSeries | int") -> "BiSeries":
         if isinstance(other, int):
-            return BiSeries(
+            return self._like(
                 [[other * c for c in row] for row in self.rows],
-                self.x_order,
                 self.trunc_order,
                 self.q_offset,
             )
@@ -286,14 +154,14 @@ class BiSeries:
         off = self.q_offset + other.q_offset
         keep_len = self.trunc_order - off + 1
         if keep_len <= 0:
-            return BiSeries.zero(self.x_order, self.trunc_order)
+            return self._like((), self.trunc_order, 0)
         rows = _packing.multiply_tables(
             [list(r) for r in self.rows],
             [list(r) for r in other.rows],
             self.x_order + 1,
             keep_len,
         )
-        return BiSeries(rows, self.x_order, self.trunc_order, off)
+        return self._like(rows, self.trunc_order, off)
 
     def __rmul__(self, other: int) -> "BiSeries":
         return self.__mul__(other)
@@ -305,7 +173,11 @@ class BiSeries:
         return self.first_difference(other) is None
 
     def __hash__(self) -> int:
-        return hash((self.x_order, self.trunc_order, self.q_offset, self.rows))
+        # equal series may differ in leading zero q-columns (see __eq__), so
+        # hash from the first column that holds a nonzero coefficient
+        lead = min(next((i for i, c in enumerate(row) if c), len(row)) for row in self.rows)
+        rows = tuple(row[lead:] for row in self.rows)
+        return hash((self.x_order, self.trunc_order, self.q_offset + lead, rows))
 
     def __repr__(self) -> str:
         terms = []
@@ -319,7 +191,7 @@ class BiSeries:
                 break
         body = " + ".join(terms) if terms else "0"
         return (
-            f"BiSeries({body} + ..., x_order={self.x_order}, "
+            f"{type(self).__name__}({body} + ..., x_order={self.x_order}, "
             f"trunc_order={self.trunc_order}, q_offset={self.q_offset})"
         )
 
@@ -362,22 +234,20 @@ class BiSeries:
         new_off = self.q_offset + q_exp
         width = new_trunc - new_off + 1
         if width <= 0 or x_exp > self.x_order:
-            return BiSeries.zero(self.x_order, max(new_trunc, 0))
+            return self._like((), max(new_trunc, 0), 0)
         rows = [[0] * width for _ in range(x_exp)]
         for m in range(self.x_order + 1 - x_exp):
             rows.append([coeff * c for c in self.rows[m][:width]])
-        return BiSeries(rows, self.x_order, new_trunc, new_off)
+        return self._like(rows, new_trunc, new_off)
 
     def truncated(self, new_order: int) -> "BiSeries":
         if new_order > self.trunc_order:
             raise TruncationMismatch("cannot extend a truncated series")
         off = self.q_offset
         if off > new_order:
-            return BiSeries.zero(self.x_order, new_order)
+            return self._like((), new_order, 0)
         width = new_order - off + 1
-        return BiSeries(
-            [row[:width] for row in self.rows], self.x_order, new_order, off
-        )
+        return self._like([row[:width] for row in self.rows], new_order, off)
 
     def x_to_xq(self) -> "BiSeries":
         """Substitute x -> x*q: the x^m row shifts up by q^m, exactly."""
@@ -386,7 +256,7 @@ class BiSeries:
         rows = []
         for m, row in enumerate(self.rows):
             rows.append([0] * min(m, width) + list(row[: max(width - m, 0)]))
-        return BiSeries(rows, self.x_order, self.trunc_order, off)
+        return self._like(rows, self.trunc_order, off)
 
     def is_ordinary(self) -> bool:
         """True when no nonzero coefficient sits at a negative q-exponent."""
@@ -411,28 +281,31 @@ class BiSeries:
             return self
         if self.q_offset < 0:
             cut = -self.q_offset
-            return BiSeries(
-                [row[cut:] for row in self.rows], self.x_order, self.trunc_order, 0
-            )
+            return self._like([row[cut:] for row in self.rows], self.trunc_order, 0)
         pad = self.q_offset
-        return BiSeries(
-            [[0] * pad + list(row) for row in self.rows],
-            self.x_order,
-            self.trunc_order,
-            0,
+        return self._like(
+            [[0] * pad + list(row) for row in self.rows], self.trunc_order, 0
         )
 
     def invert_unit(self) -> "BiSeries":
         """Inverse in the truncated ring; x^0 q^0 coefficient must be +-1."""
         if self.q_offset != 0:
             raise DomainError("invert_unit requires q_offset = 0")
-        f0 = list(self.rows[0])
-        if f0[0] not in (1, -1):
+        f = self.rows[0]
+        c0 = f[0]
+        if c0 not in (1, -1):
             raise DomainError("constant term must be a unit (+1 or -1)")
         n = self.trunc_order
         width = n + 1
-        g0 = PowerSeries(f0, n).invert_unit()
-        g_rows = [list(g0.coeffs)]
+        g0 = [0] * width
+        g0[0] = c0  # 1/c0 == c0 for c0 in {1, -1}
+        for j in range(1, width):
+            acc = 0
+            for v in range(1, j + 1):
+                if f[v]:
+                    acc += f[v] * g0[j - v]
+            g0[j] = -c0 * acc
+        g_rows = [g0]
         for m in range(1, self.x_order + 1):
             acc = [0] * width
             for i in range(1, m + 1):
@@ -443,8 +316,76 @@ class BiSeries:
                 for t in range(width):
                     acc[t] += conv[t]
             neg = [-c for c in acc]
-            g_rows.append(_packing.convolve(neg, list(g0.coeffs), width))
-        return BiSeries(g_rows, self.x_order, n, 0)
+            g_rows.append(_packing.convolve(neg, g0, width))
+        return self._like(g_rows, n, 0)
+
+
+class PowerSeries(BiSeries):
+    """Truncated exact power series in q (exponents 0..trunc_order): the
+    x_order = 0, q_offset = 0 BiSeries, with univariate adapters."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable[int], trunc_order: int):
+        if trunc_order < 0:
+            raise DomainError("trunc_order must be non-negative")
+        cs = list(coeffs)
+        if len(cs) > trunc_order + 1:
+            raise ValueError("more coefficients than trunc_order allows")
+        super().__init__((cs,), 0, trunc_order)
+
+    def _like(self, rows, trunc_order: int, q_offset: int) -> "PowerSeries":
+        # times_monomial gives a positive offset; it becomes leading zeros
+        return PowerSeries([0] * q_offset + list(rows[0] if rows else ()), trunc_order)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.rows[0]
+
+    @classmethod
+    def zero(cls, trunc_order: int) -> "PowerSeries":
+        return cls((), trunc_order)
+
+    @classmethod
+    def one(cls, trunc_order: int) -> "PowerSeries":
+        return cls((1,), trunc_order)
+
+    @classmethod
+    def monomial(cls, coeff: int, q_exp: int, trunc_order: int) -> "PowerSeries":
+        return cls.one(trunc_order).times_monomial(coeff, q_exp)
+
+    def coefficient(self, n: int) -> int:
+        return super().coefficient(0, n)
+
+    def times_monomial(self, coeff: int, q_exp: int) -> "PowerSeries":
+        if q_exp < 0:
+            raise DomainError("PowerSeries cannot hold negative q-exponents")
+        return super().times_monomial(coeff, 0, q_exp)
+
+    def first_difference(self, other: "PowerSeries"):
+        """First (n, self_coeff, other_coeff) where the two differ, or None."""
+        diff = super().first_difference(other)
+        return None if diff is None else diff[1:]
+
+    def __eq__(self, other) -> bool:
+        # unequal to every other BiSeries, and (unlike BiSeries) to a series
+        # of another truncation, rather than raising
+        if not isinstance(other, BiSeries):
+            return NotImplemented
+        return (
+            isinstance(other, PowerSeries)
+            and self.trunc_order == other.trunc_order
+            and self.rows == other.rows
+        )
+
+    __hash__ = BiSeries.__hash__
+
+
+class XOneResult(NamedTuple):
+    """Result of an x = 1 specialization with its guaranteed-exact q-degree."""
+
+    series: PowerSeries
+    exact_order: int
 
 
 def mul_binomial(rows: list[list[int]], a: int, e: int, c: int) -> None:
@@ -624,7 +565,7 @@ def eval_x_one(f: BiSeries) -> XOneResult:
     return XOneResult(PowerSeries(g.rows[0], g.trunc_order), g.trunc_order - f.x_order)
 
 
-def write_coefficients_csv(fileobj, series: Union[PowerSeries, BiSeries]) -> int:
+def write_coefficients_csv(fileobj, series: BiSeries) -> int:
     """Write nonzero coefficients as rows (x_exp, q_exp, decimal string).
 
     Returns the number of data rows written.
@@ -632,16 +573,9 @@ def write_coefficients_csv(fileobj, series: Union[PowerSeries, BiSeries]) -> int
     writer = csv.writer(fileobj)
     writer.writerow(["x_exp", "q_exp", "coefficient"])
     count = 0
-    if isinstance(series, PowerSeries):
-        it = (((0, n), c) for n, c in enumerate(series.coeffs))
-    else:
-        it = (
-            ((m, i + series.q_offset), c)
-            for m, row in enumerate(series.rows)
-            for i, c in enumerate(row)
-        )
-    for (m, n), c in it:
-        if c:
-            writer.writerow([m, n, str(c)])
-            count += 1
+    for m, row in enumerate(series.rows):
+        for i, c in enumerate(row):
+            if c:
+                writer.writerow([m, i + series.q_offset, str(c)])
+                count += 1
     return count

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +305,10 @@ def test_csv_export(tmp_path):
         with open(name) as fh:
             header = fh.readline().strip()
         assert header in ("k,a,d,s,flavor,m,n,count", "x_exp,q_exp,coefficient")
+
+
+def test_readme_worked_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Worked example", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (worked example)", "exec"), {})

@@ -153,6 +153,8 @@ def test_first_difference_matches_coefficient_scan(pair):
     assert f.first_difference(g) == reference_first_difference(f, g)
     assert g.first_difference(f) == reference_first_difference(g, f)
     assert (f == g) == (reference_first_difference(f, g) is None)
+    if f == g:
+        assert hash(f) == hash(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,6 +167,67 @@ def test_add_matches_coefficientwise_sum(pair):
     for m in range(f.x_order + 1):
         for j in range(lo, f.trunc_order + 1):
             assert total.coefficient(m, j) == f.coefficient(m, j) + g.coefficient(m, j)
+
+
+# ---------------------------------------------------------------------------
+# PowerSeries: the x_order = 0, q_offset = 0 BiSeries
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def power_series_pairs(draw):
+    n = draw(st.integers(0, 12))
+    row = st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
+    return PowerSeries(draw(row), n), PowerSeries(draw(row), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_series_pairs(), st.integers(-3, 3), st.integers(0, 14), st.sampled_from((1, -1)))
+def test_power_series_ops_match_the_biseries_ops(pair, c, e, unit):
+    f, g = pair
+    n = f.trunc_order
+    bf, bg = (BiSeries([h.coeffs], 0, n) for h in pair)
+    u = PowerSeries((unit,) + f.coeffs[1:], n)
+    cases = [
+        (f + g, bf + bg),
+        (f - g, bf - bg),
+        (-f, -bf),
+        (c * f, c * bf),
+        (f * c, bf * c),
+        (f * g, bf * bg),
+        (f.times_monomial(c, e), bf.times_monomial(c, 0, e)),
+        (f.truncated(n // 2), bf.truncated(n // 2)),
+        (u.invert_unit(), BiSeries([u.coeffs], 0, n).invert_unit()),
+    ]
+    for got, want in cases:
+        assert type(got) is PowerSeries
+        assert got.trunc_order == want.trunc_order
+        assert list(got.coeffs) == [want.coefficient(0, j) for j in range(want.trunc_order + 1)]
+    for h, bh in ((g, bg), (f, bf), (f.times_monomial(1, 1), bf.times_monomial(1, 0, 1))):
+        diff = bf.first_difference(bh)
+        assert f.first_difference(h) == (None if diff is None else diff[1:])
+
+
+def test_power_series_keeps_its_univariate_contract():
+    f = PowerSeries([3, 0, -2, 0, 7], 5)
+    same_window = BiSeries([f.coeffs], 0, 5)
+    assert isinstance(f, BiSeries)
+    assert f != PowerSeries(f.coeffs, 6)
+    assert f != same_window and same_window != f
+    assert len({f, PowerSeries([3, 0, -2, 0, 7, 0], 5)}) == 1
+    with pytest.raises(DomainError):
+        PowerSeries.monomial(1, -1, 5)
+    with pytest.raises(DomainError):
+        f.times_monomial(1, -1)
+    with pytest.raises(AttributeError):
+        f.trunc_order = 9
+    assert not hasattr(f, "__dict__")
+    written = []
+    for series in (f, same_window):
+        buf = io.StringIO()
+        write_coefficients_csv(buf, series)
+        written.append(buf.getvalue())
+    assert written[0] == written[1]
 
 
 # ---------------------------------------------------------------------------
