@@ -3,6 +3,13 @@
     qgordon-verify --checks identities,gf-match --k 2..3 --d 1..2 \
         --flavor both --trunc-n 30 --trunc-x 10 --out report.json
 
+Each report's line is written to stdout as soon as the report is computed,
+in run order (one check family at a time over the grid), then the closure
+line and the summary.  The --out JSON is the canonical record: every report
+in sorted order, written when the run ends.  If stdout's reader goes away
+(`| head`), the run still finishes, writes --out and --csv-dir, and exits
+with its usual code.
+
 Exit codes: 0 all checks passed (or were skipped), 1 at least one check
 failed, 2 configuration error.
 """
@@ -11,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -135,6 +143,22 @@ def render_line(report) -> str:
     return line
 
 
+def _write_line(text: str) -> None:
+    """Write one line to stdout in a single write, and flush it.
+
+    A reader that has gone away (a closed pipe) is not an error: stdout is
+    pointed at os.devnull, so that this and later lines, and the flush at
+    exit, are dropped and the run goes on.
+    """
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -145,14 +169,12 @@ def main(argv: Optional[list] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     with out or contextlib.nullcontext():
-        reports = run_suite(config)
-        for report in reports:
-            print(render_line(report))
+        reports = run_suite(config, on_report=lambda report: _write_line(render_line(report)))
         counts = {
             status: sum(1 for r in reports if r.status == status)
             for status in ("pass", "fail", "skipped")
         }
-        print(
+        _write_line(
             f"{counts['pass']} passed, {counts['fail']} failed, "
             f"{counts['skipped']} skipped"
         )
@@ -160,7 +182,7 @@ def main(argv: Optional[list] = None) -> int:
             out.write(reports_to_json(reports) + "\n")
     if args.csv_dir:
         written = export_csv_tables(args.csv_dir, config)
-        print(f"wrote {len(written)} CSV files to {args.csv_dir}")
+        _write_line(f"wrote {len(written)} CSV files to {args.csv_dir}")
     return exit_code(reports)
 
 

@@ -37,8 +37,7 @@ from __future__ import annotations
 import csv
 import functools
 import threading
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ._packing import read_slots
 from .series import PowerSeries, DomainError, div_binomial, mul_binomial, triple_product
@@ -52,8 +51,15 @@ def modulus(k: int, d: int, flavor: str) -> int:
     return 2 * k + 2 - d if flavor == REGULAR else 2 * k + 1 - d
 
 
-@dataclass(frozen=True)
-class CountParams:
+class _CountFields(NamedTuple):
+    k: int
+    a: int
+    d: int
+    s: int
+    flavor: str
+
+
+class CountParams(_CountFields):
     """Parameter tuple addressing one counter family.
 
     k >= 2, 1 <= d <= k, 0 <= s <= d - 1, 0 <= a <= k.  a = 0 is the
@@ -61,47 +67,57 @@ class CountParams:
     partition has a negative number of 1s).
     """
 
-    k: int
-    a: int
-    d: int
-    s: int
-    flavor: str = REGULAR
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __new__(cls, k: int, a: int, d: int, s: int, flavor: str = REGULAR):
+        if k < 2:
             raise DomainError("k must be at least 2")
-        if not 1 <= self.d <= self.k:
+        if not 1 <= d <= k:
             raise DomainError("d must satisfy 1 <= d <= k")
-        if not 0 <= self.s <= self.d - 1:
+        if not 0 <= s <= d - 1:
             raise DomainError("s must satisfy 0 <= s <= d-1")
-        if not 0 <= self.a <= self.k:
+        if not 0 <= a <= k:
             raise DomainError("a must satisfy 0 <= a <= k")
-        if self.flavor not in (REGULAR, OVER):
-            raise DomainError(f"unknown flavor {self.flavor!r}")
+        if flavor not in (REGULAR, OVER):
+            raise DomainError(f"unknown flavor {flavor!r}")
+        return super().__new__(cls, k, a, d, s, flavor)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def is_over(self) -> bool:
         return self.flavor == OVER
 
 
-@dataclass(frozen=True)
-class FreqSolution:
+class _FreqFields(NamedTuple):
+    freqs: tuple[int, ...]
+    over_flags: tuple[int, ...]
+
+
+class FreqSolution(_FreqFields):
     """A partition or overpartition encoded by part frequencies.
 
     freqs[i-1] is the number of non-overlined parts i; over_flags[i-1] is 0
     or 1 for the overlined copy.  A regular partition has over_flags all 0.
     """
 
-    freqs: tuple[int, ...]
-    over_flags: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.freqs) != len(self.over_flags):
+    def __new__(cls, freqs: tuple[int, ...], over_flags: tuple[int, ...]):
+        if len(freqs) != len(over_flags):
             raise ValueError("freqs and over_flags must have the same length")
-        if any(f < 0 for f in self.freqs):
+        if any(f < 0 for f in freqs):
             raise ValueError("frequencies must be non-negative")
-        if any(b not in (0, 1) for b in self.over_flags):
+        if any(b not in (0, 1) for b in over_flags):
             raise ValueError("overline flags must be 0 or 1")
+        return super().__new__(cls, freqs, over_flags)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def from_parts(cls, parts, overlined=()) -> "FreqSolution":
@@ -547,8 +563,7 @@ def count_cong(cp: CountParams, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceOutcome:
+class RecurrenceOutcome(NamedTuple):
     """Result of sweeping the counter recurrence over a (parts, weight) box."""
 
     ok: bool

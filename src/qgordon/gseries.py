@@ -45,7 +45,6 @@ Pure functions + idempotent memo dicts: safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import _packing
@@ -472,32 +471,73 @@ def recurrence_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DisplayCheck:
+class _Record:
+    """A mutable record: its fields are its __slots__, in order.  Records of
+    the same class are equal when their fields are, and none is hashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class DisplayCheck(_Record):
     """Outcome of one recurrence-display instance."""
 
-    display: str
-    s: int
-    a: int
-    n: int
-    ok: bool
-    mismatch: Optional[tuple] = None
+    __slots__ = ("display", "s", "a", "n", "ok", "mismatch")
+
+    def __init__(
+        self, display: str, s: int, a: int, n: int, ok: bool, mismatch: Optional[tuple] = None
+    ):
+        self.display, self.s, self.a, self.n, self.ok = display, s, a, n, ok
+        self.mismatch = mismatch
 
 
-@dataclass
-class SummandSweep:
+class SummandSweep(_Record):
     """Outcome of sweeping all summand recurrence displays."""
 
-    k: int
-    d: int
-    flavor: str
-    n_max: int
-    x_order: int
-    trunc_order: int
-    failures: list = field(default_factory=list)
-    suspect_printed_ok: bool = True
-    suspect_corrected_ok: bool = True
-    instances: int = 0
+    __slots__ = (
+        "k",
+        "d",
+        "flavor",
+        "n_max",
+        "x_order",
+        "trunc_order",
+        "failures",
+        "suspect_printed_ok",
+        "suspect_corrected_ok",
+        "instances",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        d: int,
+        flavor: str,
+        n_max: int,
+        x_order: int,
+        trunc_order: int,
+        failures: Optional[list] = None,
+        suspect_printed_ok: bool = True,
+        suspect_corrected_ok: bool = True,
+        instances: int = 0,
+    ):
+        self.k, self.d, self.flavor, self.n_max = k, d, flavor, n_max
+        self.x_order, self.trunc_order = x_order, trunc_order
+        self.failures = [] if failures is None else failures
+        self.suspect_printed_ok = suspect_printed_ok
+        self.suspect_corrected_ok = suspect_corrected_ok
+        self.instances = instances
 
     @property
     def ok(self) -> bool:
@@ -676,6 +716,19 @@ def identification_conditions(k, a, d, s, flavor) -> tuple[bool, str]:
     return True, ""
 
 
+def identities_skip_reason(k, a, d, s, flavor) -> Optional[str]:
+    """Why the main identities do not apply at a tuple, or None where the
+    identification conditions hold.  The identities report names the
+    condition without the offending value; the wording is canonical output.
+    Their side condition on 2(a+s) is the harness's, since --alt-condition
+    selects it."""
+    if identification_conditions(k, a, d, s, flavor)[0]:
+        return None
+    if flavor == REGULAR:
+        return f"2(a+s) or 2(k+1) not divisible by d = {d}"
+    return "over flavor needs d in {1, 2}"
+
+
 def identification_grounded(k, a, d, s, flavor) -> bool:
     """True when the determining chain of functional equations never
     references a lower index below zero.  Chains step (a, s) -> (a-1, s+1)
@@ -789,14 +842,14 @@ def x_one_exact_bound(k, a, d, s, flavor, x_order, trunc_order) -> int:
     return min(N - X, X - deficit)
 
 
-@dataclass
-class XOneCheck:
+class XOneCheck(_Record):
     """Comparison of the x = 1 specialization against each product form."""
 
-    bound: int
-    identified: bool
-    ordinary: bool
-    results: list  # (label, ok, mismatch)
+    __slots__ = ("bound", "identified", "ordinary", "results")
+
+    def __init__(self, bound: int, identified: bool, ordinary: bool, results: list):
+        self.bound, self.identified, self.ordinary = bound, identified, ordinary
+        self.results = results  # (label, ok, mismatch)
 
     @property
     def ok(self) -> bool:

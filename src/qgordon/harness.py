@@ -15,15 +15,20 @@ A report is pass/fail/skipped; a skip always carries the violated
 applicability condition, and a fail always carries the first mismatching
 coefficient.  Identical configurations produce byte-identical canonical JSON
 (runtime fields are excluded from the canonical form).
+
+run_suite runs the checks one family at a time, each over the grid, and can
+hand every report to a callback as soon as it is computed, in that run
+order; the list it returns is sorted into the canonical order, with closure
+appended last.  The record types are NamedTuples (frozen, equal to the plain
+tuple of their fields), so that importing the package needs no dataclasses.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import counting, gseries
 from .counting import OVER, REGULAR, CountParams
@@ -43,23 +48,43 @@ class ConfigError(ValueError):
     """Invalid suite configuration; reported before any computation."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification run (the CLI output contract)."""
-
+class _ReportFields(NamedTuple):
     check_id: str
     params: dict
     status: str  # "pass" | "fail" | "skipped"
-    reason: Optional[str] = None
-    first_mismatch: Optional[dict] = None  # {"m", "n", "lhs", "rhs"}
-    notes: tuple = ()
-    runtime_ms: int = 0
+    reason: Optional[str]
+    first_mismatch: Optional[dict]  # {"m", "n", "lhs", "rhs"}
+    notes: tuple
+    runtime_ms: int
 
-    def __post_init__(self):
-        if self.status == "fail" and self.first_mismatch is None:
+
+class CheckReport(_ReportFields):
+    """Outcome of one verification run (the CLI output contract)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        check_id: str,
+        params: dict,
+        status: str,
+        reason: Optional[str] = None,
+        first_mismatch: Optional[dict] = None,
+        notes: tuple = (),
+        runtime_ms: int = 0,
+    ):
+        if status == "fail" and first_mismatch is None:
             raise ValueError("fail reports must carry their first mismatch")
-        if self.status == "skipped" and not self.reason:
+        if status == "skipped" and not reason:
             raise ValueError("skipped reports must carry a reason")
+        return super().__new__(
+            cls, check_id, params, status, reason, first_mismatch, notes, runtime_ms
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def to_dict(self, include_runtime: bool = True) -> dict:
         out = {
@@ -300,11 +325,8 @@ def check_main_identity(
     params = _tuple_params(k, a, d, s, flavor, None, n_max)
     notes = [f"side condition evaluated: {'corrected' if alt_condition else 'verbatim'}"]
 
-    if not gseries.identification_conditions(k, a, d, s, flavor)[0]:
-        if flavor == REGULAR:
-            reason = f"2(a+s) or 2(k+1) not divisible by d = {d}"
-        else:
-            reason = "over flavor needs d in {1, 2}"
+    reason = gseries.identities_skip_reason(k, a, d, s, flavor)
+    if reason is not None:
         return CheckReport("identities", params, "skipped", reason=reason)
     if flavor == REGULAR and s != 0:
         guard = 2 * k + 2 - d if alt_condition else 2 * k + 2 + d
@@ -396,47 +418,71 @@ def _tuple_params(k, a, d, s, flavor, x_order, trunc_order) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class _ConfigFields(NamedTuple):
+    checks: tuple
+    ks: tuple
+    ds: tuple
+    a_values: Optional[tuple]  # None = all valid for each (k, d)
+    s_values: Optional[tuple]
+    flavors: tuple
+    trunc_order: int
+    x_order: int
+    summand_n_max: int
+    alt_condition: bool
+
+
+class SuiteConfig(_ConfigFields):
     """Grid and options for one batch run."""
 
-    checks: tuple = CHECK_IDS
-    ks: tuple = (2, 3)
-    ds: tuple = (1, 2)
-    a_values: Optional[tuple] = None  # None = all valid for each (k, d)
-    s_values: Optional[tuple] = None
-    flavors: tuple = (REGULAR, OVER)
-    trunc_order: int = 30
-    x_order: int = 10
-    summand_n_max: int = 3
-    alt_condition: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = [c for c in self.checks if c not in CHECK_IDS]
+    def __new__(
+        cls,
+        checks: tuple = CHECK_IDS,
+        ks: tuple = (2, 3),
+        ds: tuple = (1, 2),
+        a_values: Optional[tuple] = None,
+        s_values: Optional[tuple] = None,
+        flavors: tuple = (REGULAR, OVER),
+        trunc_order: int = 30,
+        x_order: int = 10,
+        summand_n_max: int = 3,
+        alt_condition: bool = False,
+    ):
+        self = super().__new__(
+            cls, checks, ks, ds, a_values, s_values, flavors, trunc_order, x_order,
+            summand_n_max, alt_condition,
+        )
+        bad = [c for c in checks if c not in CHECK_IDS]
         if bad:
             raise ConfigError(f"unknown checks: {', '.join(bad)}")
         # an empty check list is legal and yields an empty report
-        if not self.ks or not self.ds or not self.flavors:
+        if not ks or not ds or not flavors:
             raise ConfigError("empty grid dimension")
-        if any(k < 2 for k in self.ks):
+        if any(k < 2 for k in ks):
             raise ConfigError("k must be at least 2")
-        if any(d < 1 for d in self.ds):
+        if any(d < 1 for d in ds):
             raise ConfigError("d must be at least 1")
-        if any(f not in (REGULAR, OVER) for f in self.flavors):
+        if any(f not in (REGULAR, OVER) for f in flavors):
             raise ConfigError("flavor must be regular or over")
-        if self.trunc_order < 1 or self.x_order < 1:
+        if trunc_order < 1 or x_order < 1:
             raise ConfigError("truncation orders must be positive")
-        if "product-eval" in self.checks and self.trunc_order < self.x_order:
+        if "product-eval" in checks and trunc_order < x_order:
             raise ConfigError(
-                f"product-eval needs trunc_order >= x_order (got N = {self.trunc_order}, "
-                f"X = {self.x_order}): the x = 1 comparison is exact only through q^(N-X)"
+                f"product-eval needs trunc_order >= x_order (got N = {trunc_order}, "
+                f"X = {x_order}): the x = 1 comparison is exact only through q^(N-X)"
             )
-        if self.a_values is not None and any(v < 1 for v in self.a_values):
+        if a_values is not None and any(v < 1 for v in a_values):
             raise ConfigError("a values must be at least 1")
-        if self.s_values is not None and any(v < 0 for v in self.s_values):
+        if s_values is not None and any(v < 0 for v in s_values):
             raise ConfigError("s values must be non-negative")
         if next(_grid(self), None) is None:
             raise ConfigError("empty grid: no tuple has d <= k, 0 <= s < d and 1 <= a <= k")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _grid(config: SuiteConfig) -> Iterable[tuple]:
@@ -456,39 +502,50 @@ def _grid(config: SuiteConfig) -> Iterable[tuple]:
                         yield k, a, d, s, flavor
 
 
-def run_suite(config: SuiteConfig) -> list[CheckReport]:
-    """Run the configured checks; deterministic report order."""
+def run_suite(
+    config: SuiteConfig, on_report: Optional[Callable[[CheckReport], None]] = None
+) -> list[CheckReport]:
+    """Run the configured checks and return their reports in the canonical
+    order (_sort_key), with closure last.
+
+    The checks run check by check, each over the grid in _grid order.
+    on_report, if given, is called with each report as soon as it is
+    computed, in that run order, and last with closure; the list returned is
+    the same with or without it.
+    """
     reports: list[CheckReport] = []
+
+    def add(report: CheckReport) -> None:
+        reports.append(report)
+        if on_report is not None:
+            on_report(report)
+
     X, N = config.x_order, config.trunc_order
     if "recurrences" in config.checks:
         for k, a, d, s, flavor in _grid(config):
-            reports.append(check_recurrences(CountParams(k, a, d, s, flavor), N, N))
+            add(check_recurrences(CountParams(k, a, d, s, flavor), N, N))
     if "gf-consistency" in config.checks:
         for k, a, d, s, flavor in _grid(config):
-            reports.append(check_gf_consistency(k, a, d, s, flavor, X, N))
+            add(check_gf_consistency(k, a, d, s, flavor, X, N))
     if "summand-eqs" in config.checks:
         seen = set()
         for k, a, d, s, flavor in _grid(config):
             if (k, d, flavor) in seen:
                 continue
             seen.add((k, d, flavor))
-            reports.append(
-                check_summand_equations(k, d, flavor, config.summand_n_max, min(X, 8))
-            )
+            add(check_summand_equations(k, d, flavor, config.summand_n_max, min(X, 8)))
     if "gf-match" in config.checks:
         for k, a, d, s, flavor in _grid(config):
-            reports.append(check_gf_match(k, a, d, s, flavor, X, N))
+            add(check_gf_match(k, a, d, s, flavor, X, N))
     if "product-eval" in config.checks:
         for k, a, d, s, flavor in _grid(config):
-            reports.append(check_product_eval(k, a, d, s, flavor, X, N))
+            add(check_product_eval(k, a, d, s, flavor, X, N))
     if "identities" in config.checks:
         for k, a, d, s, flavor in _grid(config):
-            reports.append(
-                check_main_identity(k, a, d, s, flavor, N, config.alt_condition)
-            )
+            add(check_main_identity(k, a, d, s, flavor, N, config.alt_condition))
     reports.sort(key=_sort_key)
     if "gf-match" in config.checks and "identities" in config.checks:
-        reports.append(closure_report(reports))
+        add(closure_report(reports))
     return reports
 
 

@@ -1,12 +1,36 @@
-"""Command-line interface: parsing, exit codes, artifacts."""
+"""Command-line interface: parsing, exit codes, artifacts, streaming."""
 
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qgordon import cli
-from qgordon.cli import main, parse_checks, parse_range
-from qgordon.harness import CHECK_IDS, ConfigError
+from qgordon import cli, harness
+from qgordon.cli import main, parse_checks, parse_range, render_line
+from qgordon.harness import CHECK_IDS, ConfigError, reports_to_json, run_suite
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# gf-match runs before identities; the over tuple (2, 2, 2, 1) fails both by design
+STREAM_GRID = ["--checks", "gf-match,identities", "--k", "2", "--d", "1..2"]
+STREAM_GRID += ["--trunc-n", "12", "--trunc-x", "4"]
+
+
+def config_of(argv):
+    return cli.config_from_args(cli.build_parser().parse_args(argv))
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def canonical(reports):
+    return [r.to_dict(include_runtime=False) for r in reports]
 
 
 def test_parse_range_forms():
@@ -211,3 +235,131 @@ def test_cli_alt_condition_flag_recorded(tmp_path):
     )
     reports = json.loads(out.read_text())
     assert all("corrected" in r["notes"][0] for r in reports)
+
+
+def test_cli_writes_each_report_line_before_the_next_check(monkeypatch, capsys):
+    written_before = []  # stdout written since the previous identities check began
+    check = harness.check_main_identity
+
+    def reading_stdout(*args, **kwargs):
+        written_before.append(capsys.readouterr().out)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "check_main_identity", reading_stdout)
+    assert main(STREAM_GRID) == 1
+    n_tuples = len(list(harness._grid(config_of(STREAM_GRID))))
+    assert len(written_before) == n_tuples
+    # every gf-match line is out before the first identities check runs
+    first = written_before[0].splitlines()
+    assert len(first) == n_tuples
+    assert all(" gf-match " in line for line in first)
+    # and each identities line before the next one's check runs
+    for out in written_before[1:]:
+        assert out.count("\n") == 1 and " identities " in out
+
+
+def test_cli_stdout_is_run_order_then_closure_then_summary(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(STREAM_GRID + ["--out", str(out)]) == 1
+    first = capsys.readouterr().out
+    assert main(STREAM_GRID) == 1
+    assert capsys.readouterr().out == first
+
+    config = config_of(STREAM_GRID)
+    reports = run_suite(config)
+    line_of = {(r.check_id, harness._params_key(r.params)): render_line(r) for r in reports}
+    run_order = [
+        line_of[check, t] for check in ("gf-match", "identities") for t in harness._grid(config)
+    ]
+    lines = first.splitlines()
+    assert lines[:-2] == run_order
+    assert lines[-2] == render_line(reports[-1]) and reports[-1].check_id == "closure"
+    assert lines[-1] == "23 passed, 2 failed, 0 skipped"
+    # run order is not the canonical order: regular tuples run first
+    assert run_order != [render_line(r) for r in reports[:-1]]
+    assert sorted(lines[:-1]) == sorted(render_line(r) for r in reports)
+
+    written = json.loads(out.read_text())
+    assert [r.pop("runtime_ms") >= 0 for r in written] == [True] * len(reports)
+    assert written == json.loads(reports_to_json(reports, include_runtime=False))
+
+
+def test_run_suite_callback_sees_every_report_and_changes_nothing():
+    config = config_of(STREAM_GRID)
+    seen = []
+    with_callback = run_suite(config, on_report=seen.append)
+    assert canonical(with_callback) == canonical(run_suite(config))
+    assert seen[-1] is with_callback[-1] and seen[-1].check_id == "closure"
+    assert sorted(map(id, seen)) == sorted(map(id, with_callback))
+
+
+def test_cli_closed_stdout_still_finishes_the_run(tmp_path):
+    # the second identities check waits until the reader has closed stdout,
+    # so every later line meets a closed pipe
+    child = """
+import sys
+from qgordon import cli, harness
+check, calls = harness.check_main_identity, []
+def gated(*args, **kwargs):
+    calls.append(None)
+    if len(calls) == 2:
+        sys.stdin.read(1)
+    return check(*args, **kwargs)
+harness.check_main_identity = gated
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    out, csv_dir = tmp_path / "r.json", tmp_path / "csv"
+    argv = STREAM_GRID + ["--flavor", "regular", "--out", str(out), "--csv-dir", str(csv_dir)]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", child, *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    try:
+        # a CLI that writes nothing before the run ends would wait here for good
+        assert select.select([proc.stdout], [], [], 60)[0], "no line before the second check"
+        first = proc.stdout.readline()
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    proc.stdout.close()
+    proc.stdin.write(b"x")
+    proc.stdin.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0, stderr
+    assert first.startswith(b"[PASS] gf-match")
+    assert stderr == ""
+    config = config_of(argv)
+    written = json.loads(out.read_text())
+    for r in written:
+        del r["runtime_ms"]
+    assert written == canonical(run_suite(config))
+    assert len(list(csv_dir.iterdir())) == 2 * len(list(harness._grid(config)))
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        "import qgordon.cli",
+        # python -m qgordon.cli --help
+        "import runpy; sys.argv = ['qgordon-verify', '--help']\n"
+        "try: runpy.run_module('qgordon.cli', run_name='__main__')\n"
+        "except SystemExit: pass",
+    ],
+    ids=["import", "help"],
+)
+def test_cli_import_leaves_out_dataclasses_and_inspect(load):
+    # modules the interpreter loaded at start-up (a site hook, say) are not
+    # counted: only what the import adds
+    child = f"import sys\nbefore = set(sys.modules)\n{load}\n"
+    child += "print(*sorted(set(sys.modules) - before))"
+    run = subprocess.run(
+        [sys.executable, "-c", child], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    added = set(run.stdout.splitlines()[-1].split())
+    assert "qgordon.harness" in added
+    assert not {"dataclasses", "inspect"} & added

@@ -13,6 +13,7 @@ from qgordon.gseries import (
     constructed_gf,
     enumerated_gf,
     identification_conditions,
+    identities_skip_reason,
     identification_grounded,
     needed_trunc_order,
     recurrence_gf,
@@ -836,6 +837,14 @@ def test_identification_condition_strings():
     assert not ok and "2(a+s)" in why
     ok, why = identification_conditions(3, 2, 3, 0, OVER)
     assert not ok and "d in {1, 2}" in why
+    # the identities' skip reason names the same conditions, without the value
+    for k in range(2, 6):
+        for d in range(1, k + 1):
+            for s in range(d):
+                for a in range(1, k + 1):
+                    for flavor in (REGULAR, OVER):
+                        ok, _ = identification_conditions(k, a, d, s, flavor)
+                        assert (identities_skip_reason(k, a, d, s, flavor) is None) == ok
 
 
 def test_regular_escape_family_is_identified_and_not_grounded():

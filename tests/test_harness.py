@@ -312,3 +312,45 @@ def test_readme_worked_example_runs():
     section = readme.split("## Worked example", 1)[1].split("\n## ", 1)[0]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md (worked example)", "exec"), {})
+
+
+def test_record_types_keep_their_checks_and_equality():
+    from qgordon.counting import FreqSolution, RecurrenceOutcome
+    from qgordon.gseries import DisplayCheck, SummandSweep, XOneCheck
+    from qgordon.series import DomainError
+
+    # the frozen records are NamedTuples: equal to the plain tuple of their
+    # fields, immutable, and validated on construction and on _replace
+    cp = CountParams(3, 2, 2, 1)
+    assert cp == (3, 2, 2, 1, REGULAR) and hash(cp) == hash((3, 2, 2, 1, REGULAR))
+    assert CountParams(k=3, a=2, d=2, s=1, flavor=OVER).is_over
+    with pytest.raises(AttributeError):
+        cp.k = 4
+    with pytest.raises(DomainError, match="s must satisfy"):
+        cp._replace(s=2)
+    with pytest.raises(ValueError, match="same length"):
+        FreqSolution((1,), ())._replace(over_flags=(0, 0))
+    assert RecurrenceOutcome(True, None, False) == (True, None, False)
+    report = CheckReport("identities", {}, "pass")
+    assert report == ("identities", {}, "pass", None, None, (), 0)
+    with pytest.raises(ValueError, match="skipped reports must carry a reason"):
+        report._replace(status="skipped")
+    assert SuiteConfig() == SuiteConfig(CHECK_IDS, (2, 3), (1, 2), None, None, (REGULAR, OVER))
+    with pytest.raises(ConfigError, match="k must be at least 2"):
+        SuiteConfig()._replace(ks=(1,))
+
+    # the sweep records stay mutable, equal only within their class, unhashable
+    fields = (2, 1, REGULAR, 3, 8, 40)
+    sweep = SummandSweep(*fields)
+    assert sweep.failures == [] and sweep.failures is not SummandSweep(*fields).failures
+    sweep.instances += 1
+    sweep.failures.append(DisplayCheck("alpha", 0, 1, 2, False, (0, 2, 1, 0)))
+    assert not sweep.ok
+    twin = SummandSweep(*fields, [DisplayCheck("alpha", 0, 1, 2, False, (0, 2, 1, 0))])
+    twin.instances = 1
+    assert sweep == twin and sweep != (2, 1, REGULAR, 3, 8, 40)
+    assert repr(DisplayCheck("alpha", 0, 1, 2, True)) == (
+        "DisplayCheck(display='alpha', s=0, a=1, n=2, ok=True, mismatch=None)"
+    )
+    with pytest.raises(TypeError):
+        hash(XOneCheck(5, True, True, []))

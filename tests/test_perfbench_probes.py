@@ -74,3 +74,6 @@ def test_traced_run_reports_every_layer_metric(tmp_path):
     result = json.loads(layers.read_text())
     assert result["absent"] == {}
     assert expected <= set(result["metrics"]), sorted(expected - set(result["metrics"]))
+    # the harness layer is rooted at run_suite: the CLI must run the suite through it
+    spans = (tmp_path / "SPANS.tsv").read_text().splitlines()
+    assert [line.split("\t")[1] for line in spans[1:]].count("harness.run_suite") == 1
