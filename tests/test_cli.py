@@ -310,26 +310,25 @@ sys.exit(cli.main(sys.argv[1:]))
 """
     out, csv_dir = tmp_path / "r.json", tmp_path / "csv"
     argv = STREAM_GRID + ["--flavor", "regular", "--out", str(out), "--csv-dir", str(csv_dir)]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", child, *argv],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=child_env(),
-    )
-    try:
-        # a CLI that writes nothing before the run ends would wait here for good
-        assert select.select([proc.stdout], [], [], 60)[0], "no line before the second check"
-        first = proc.stdout.readline()
-    except BaseException:
-        proc.kill()
-        proc.wait()
-        raise
-    proc.stdout.close()
-    proc.stdin.write(b"x")
-    proc.stdin.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 0, stderr
+    ) as proc:
+        try:
+            # a CLI that writes nothing before the run ends would wait here for good
+            assert select.select([proc.stdout], [], [], 60)[0], "no line before the second check"
+            first = proc.stdout.readline()
+        except BaseException:
+            proc.kill()
+            raise
+        proc.stdout.close()
+        proc.stdin.write(b"x")
+        proc.stdin.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, stderr
     assert first.startswith(b"[PASS] gf-match")
     assert stderr == ""
     config = config_of(argv)
