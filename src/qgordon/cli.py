@@ -4,8 +4,8 @@
         --flavor both --trunc-n 30 --trunc-x 10 --out report.json
 
 Each report's line is written to stdout as soon as the report is computed,
-in run order (one check family at a time over the grid), then the closure
-line and the summary.  The --out JSON is the canonical record: every report
+in run order (group by group, one (flavor, k, d) at a time, each check over
+the group's tuples), then the closure line and the summary.  The --out JSON is the canonical record: every report
 in sorted order, written when the run ends.  If stdout's reader goes away
 (`| head`), the run still finishes, writes --out and --csv-dir, and exits
 with its usual code.

@@ -27,9 +27,9 @@ p-bar(n) counts (partition_counts), is held at its deepest build: it gives
 the bound behind the DP slot width and is the (q; q)_inf quotient of the
 x = 1 product forms (gseries).
 
-All functions are pure; the memo tables are module-level dicts whose fills are
-idempotent, and the mask budget is kept under a lock, so concurrent use is
-safe.
+All functions are pure.  The memo tables are module-level dicts under one
+policy (_deepest), and the mask budget is kept under a lock, so concurrent
+use is safe: a memo that a concurrent run empties (harness) costs a rebuild.
 """
 
 from __future__ import annotations
@@ -226,16 +226,45 @@ def _parts_row(plain, lined, n_max: int, row: Optional[list[int]] = None) -> lis
     return rows[0]
 
 
+def _deepest(memo: dict, key, want: tuple, bounds, build, group=()):
+    """The memo policy: hold the deepest build, and serve from it every
+    request that it covers.
+
+    want is the tuple of bounds asked for at key, and bounds(held) the tuple
+    that a held value is exact to.  A held value whose bounds each reach
+    want's is returned as it is.  Otherwise build(*bounds) runs at the
+    largest of want and the bounds held at key or at any key of group (the
+    keys that one build fills), and returns {key: value} for each key it
+    fills; those replace the held values, and the value asked for is
+    returned as built.  It is never read back from memo, which a concurrent
+    run may have emptied in between.
+    """
+    held = memo.get(key)
+    if held is not None and all(h >= w for h, w in zip(bounds(held), want)):
+        return held
+    for held in filter(None, map(memo.get, (key, *group))):
+        want = tuple(map(max, want, bounds(held)))
+    built = build(*want)
+    memo.update(built)
+    return built[key]
+
+
+def _row_bound(row: list) -> tuple[int]:
+    """The bounds of a held coefficient row: its last index."""
+    return (len(row) - 1,)
+
+
 def partition_counts(flavor: str, n_max: int) -> list[int]:
     """p(0), p(1), ... (p-bar for overpartitions, the coefficients of
     prod (1+q^v)/(1-q^v)) through n_max or further: the coefficients of
-    (-q; q)_inf^[over] / (q; q)_inf.  _width_cache holds the deepest row
-    built; a deeper request rebuilds it and replaces it."""
-    held = _width_cache.get(flavor)
-    if held is None or len(held) <= n_max:
-        every = range(1, n_max + 1)
-        held = _width_cache[flavor] = _parts_row(every, every if flavor == OVER else (), n_max)
-    return held
+    (-q; q)_inf^[over] / (q; q)_inf, from the deepest row held in
+    _width_cache."""
+
+    def build(n):
+        every = range(1, n + 1)
+        return {flavor: _parts_row(every, every if flavor == OVER else (), n)}
+
+    return _deepest(_width_cache, flavor, (n_max,), _row_bound, build)
 
 
 def _slot_bits(flavor: str, n_max: int) -> int:
@@ -394,25 +423,24 @@ def _compute_totals(k: int, d: int, flavor: str, n_max: int) -> dict[tuple[int, 
 def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> list[list[int]]:
     """Cached (parts, weight) count table; entry [m][n] counts solutions.
 
-    The parts bound: rows 0..parts (default n_max, every row that can be
-    nonzero) and weights 0..n_max are exact.  Any held table with at least
-    as many rows and weights serves the request, so the table returned may
-    be larger.  A miss builds the tables of every (a, s) of the group
-    (k, d, flavor) at once, at the largest bounds requested or held in that
-    group, so that no held table is replaced by a smaller one.
+    Rows 0..parts (default n_max, every row that can be nonzero) and weights
+    0..n_max are exact; the held table that serves them (_deepest) may be
+    larger.  One build fills every (a, s) of the group (k, d, flavor).
     """
     parts = n_max if parts is None else min(parts, n_max)
     if cp.a == 0:
         return [[0] * (n_max + 1) for _ in range(parts + 1)]
-    key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
-    cached = _table_cache.get(key)
-    if cached is not None and cached[0] >= n_max and len(cached[1]) > parts:
-        return cached[1]
-    for held_n, table in filter(None, map(_table_cache.get, _group_keys(cp.k, cp.d, cp.flavor))):
-        n_max, parts = max(n_max, held_n), max(parts, len(table) - 1)
-    for (a, s), table in _compute_table(cp.k, cp.d, cp.flavor, n_max, parts).items():
-        _table_cache[cp.k, a, cp.d, s, cp.flavor] = (n_max, table)
-    return _table_cache[key][1]
+    k, d, flavor = cp.k, cp.d, cp.flavor
+
+    def build(n, p):
+        tables = _compute_table(k, d, flavor, n, p)
+        return {(k, a, d, s, flavor): (n, table) for (a, s), table in tables.items()}
+
+    def bounds(held):
+        return held[0], len(held[1]) - 1
+
+    group = _group_keys(k, d, flavor)
+    return _deepest(_table_cache, tuple(cp), (n_max, parts), bounds, build, group)[1]
 
 
 def count_mult(cp: CountParams, m: int, n: int) -> int:
@@ -423,24 +451,19 @@ def count_mult(cp: CountParams, m: int, n: int) -> int:
 
 
 def count_mult_totals(cp: CountParams, n_max: int) -> list[int]:
-    """Numbers of admissible solutions of weight 0..n_max (any number of parts).
-
-    Built by the weight-only DP, without the parts axis, and cached per
-    tuple; a request no larger than the held list is served from it.  A miss
-    builds the lists of every (a, s) of the group (k, d, flavor) at once,
-    through the largest weight requested or held in that group.
-    """
+    """Numbers of admissible solutions of weight 0..n_max (any number of parts),
+    by the weight-only DP, without the parts axis.  Held as count_table is,
+    one build for every (a, s) of the group (k, d, flavor)."""
     if cp.a == 0:
         return [0] * (n_max + 1)
-    key = (cp.k, cp.a, cp.d, cp.s, cp.flavor)
-    held = _totals_cache.get(key)
-    if held is None or len(held) <= n_max:
-        group = filter(None, map(_totals_cache.get, _group_keys(cp.k, cp.d, cp.flavor)))
-        top = max([n_max] + [len(totals) - 1 for totals in group])
-        for (a, s), totals in _compute_totals(cp.k, cp.d, cp.flavor, top).items():
-            _totals_cache[cp.k, a, cp.d, s, cp.flavor] = totals
-        held = _totals_cache[key]
-    return held[: n_max + 1]
+    k, d, flavor = cp.k, cp.d, cp.flavor
+
+    def build(n):
+        totals = _compute_totals(k, d, flavor, n)
+        return {(k, a, d, s, flavor): row for (a, s), row in totals.items()}
+
+    group = _group_keys(k, d, flavor)
+    return _deepest(_totals_cache, tuple(cp), (n_max,), _row_bound, build, group)[: n_max + 1]
 
 
 def count_mult_total(cp: CountParams, n: int) -> int:
@@ -544,11 +567,13 @@ def cached_congruence_series(k: int, d: int, c: int, flavor: str, n: int):
     as (series, product_defined), from _cong_cache.  A miss builds through
     q^max(n, 16) and replaces the held series."""
     key = (k, d, c, flavor)
-    cached = _cong_cache.get(key)
-    if cached is None or cached[0] < n:
+
+    def build(n):
         series, special = congruence_series(k, d, c, flavor, max(n, 16))
-        cached = _cong_cache[key] = (series.trunc_order, series, special)
-    return cached[1], cached[2]
+        return {key: (series.trunc_order, series, special)}
+
+    _, series, special = _deepest(_cong_cache, key, (n,), lambda held: held[:1], build)
+    return series, special
 
 
 def count_cong(cp: CountParams, n: int) -> int:

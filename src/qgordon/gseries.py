@@ -40,7 +40,8 @@ forms are packed rows too: a numerator of shift-adds, divided by 1 - q^d and
 multiplied once by the held p(n) row (counting.partition_counts), so no
 series is inverted.
 
-Pure functions + idempotent memo dicts: safe for concurrent use.
+Pure functions + memo dicts under counting._deepest: safe for concurrent
+use; a memo that a concurrent run empties (harness) costs a rebuild.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .counting import (
     OVER,
     REGULAR,
     CountParams,
+    _deepest,
     count_table,
     min_admissible_weight,
     modulus,
@@ -119,10 +121,9 @@ def summand_series(
     matching the convention that makes the n = 0 recurrence instances assert
     a vanishing left-hand side.
 
-    Memo policy: one build per family (kind, k, d, s, n, flavor, x_order),
-    with no truncation in the key.  _summand_cache holds the deepest build
-    asked for so far, packed (_Packed); a request it covers is served from
-    it and a deeper request rebuilds the family and replaces it.  The
+    Memo policy (counting._deepest): one build per family (kind, k, d, s,
+    n, flavor, x_order), with no truncation in the key.  _summand_cache
+    holds the deepest build asked for so far, packed (_Packed).  The
     BiSeries returned is read from the packed rows at exactly trunc_order.
     With packed=True the held _Packed itself is returned, exact at
     trunc_order or deeper, for the packed sums (_sum_terms).
@@ -139,11 +140,11 @@ def summand_series(
     if (k + 1 - d) * n < 0:
         raise DomainError("x-exponents must be non-negative")
     key = (kind, k, d, s, n, flavor, x_order)
-    held = _summand_cache.get(key)
-    if held is None or held.trunc_order < trunc_order:
-        held = _summand_cache[key] = _build_summand(
-            kind, k, d, s, n, flavor, x_order, trunc_order
-        )
+
+    def build(N):
+        return {key: _build_summand(kind, k, d, s, n, flavor, x_order, N)}
+
+    held = _deepest(_summand_cache, key, (trunc_order,), lambda f: (f.trunc_order,), build)
     return held if packed else held.series(trunc_order)
 
 
@@ -419,41 +420,44 @@ _recurrence_cache: dict = {}
 
 
 def _recurrence_tables(k, d, flavor, x_order, trunc_order):
-    """Fill every (s, a) coefficient table from the functional equation.
+    """Every (s, a) coefficient table from the functional equation, through
+    x^x_order q^trunc_order or further.
 
     values[s][a][m][n] with the base rows f(s, 0, *, *) = 0 and
     f(s, a, 0, n) = [n == 0], filled upward in (m, n, a); lower indices
-    below zero contribute nothing (their classes are provably empty).
+    below zero contribute nothing (their classes are provably empty).  An
+    entry reads only entries of no larger m and n, so a deeper fill agrees
+    with a shallower one: _recurrence_cache holds the deepest of each
+    (k, d, flavor), as (X, N, values).
     """
-    key = (k, d, flavor, x_order, trunc_order)
-    got = _recurrence_cache.get(key)
-    if got is not None:
-        return got
     over = flavor == OVER
-    X, N = x_order, trunc_order
-    values = [
-        [[[0] * (N + 1) for _ in range(X + 1)] for _ in range(k + 1)] for _ in range(d)
-    ]
-    for s in range(d):
-        for a in range(1, k + 1):
-            values[s][a][0][0] = 1
-    for m in range(1, X + 1):
-        for n in range(N + 1):
+
+    def build(X, N):
+        values = [
+            [[[0] * (N + 1) for _ in range(X + 1)] for _ in range(k + 1)] for _ in range(d)
+        ]
+        for s in range(d):
             for a in range(1, k + 1):
-                for s in range(d):
-                    acc = values[(s + 1) % d][a - 1][m][n]
-                    c1 = k - a + 1 - s
-                    m1, n1 = m - a + 1, n - m
-                    if c1 >= 1 and 0 <= m1 <= X and 0 <= n1 <= N:
-                        acc += values[0][c1][m1][n1]
-                    if over:
-                        c2 = k - a - s
-                        m2 = m - a
-                        if c2 >= 1 and 0 <= m2 <= X and 0 <= n1 <= N:
-                            acc += values[0][c2][m2][n1]
-                    values[s][a][m][n] = acc
-    _recurrence_cache[key] = values
-    return values
+                values[s][a][0][0] = 1
+        for m in range(1, X + 1):
+            for n in range(N + 1):
+                for a in range(1, k + 1):
+                    for s in range(d):
+                        acc = values[(s + 1) % d][a - 1][m][n]
+                        c1 = k - a + 1 - s
+                        m1, n1 = m - a + 1, n - m
+                        if c1 >= 1 and 0 <= m1 <= X and 0 <= n1 <= N:
+                            acc += values[0][c1][m1][n1]
+                        if over:
+                            c2 = k - a - s
+                            m2 = m - a
+                            if c2 >= 1 and 0 <= m2 <= X and 0 <= n1 <= N:
+                                acc += values[0][c2][m2][n1]
+                        values[s][a][m][n] = acc
+        return {(k, d, flavor): (X, N, values)}
+
+    key, want = (k, d, flavor), (x_order, trunc_order)
+    return _deepest(_recurrence_cache, key, want, lambda held: held[:2], build)[2]
 
 
 def recurrence_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
@@ -463,7 +467,8 @@ def recurrence_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
     if not 1 <= a <= k:
         raise DomainError("recurrence route needs 0 <= a <= k")
     values = _recurrence_tables(k, d, flavor, x_order, trunc_order)
-    return BiSeries(values[s][a], x_order, trunc_order)
+    rows = [row[: trunc_order + 1] for row in values[s][a][: x_order + 1]]
+    return BiSeries(rows, x_order, trunc_order)
 
 
 # ---------------------------------------------------------------------------

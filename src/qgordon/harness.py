@@ -16,11 +16,13 @@ applicability condition, and a fail always carries the first mismatching
 coefficient.  Identical configurations produce byte-identical canonical JSON
 (runtime fields are excluded from the canonical form).
 
-run_suite runs the checks one family at a time, each over the grid, and can
-hand every report to a callback as soon as it is computed, in that run
-order; the list it returns is sorted into the canonical order, with closure
-appended last.  The record types are NamedTuples (frozen, equal to the plain
-tuple of their fields), so that importing the package needs no dataclasses.
+run_suite runs the grid group by group, one (flavor, k, d) at a time, and
+each configured check over the group's tuples.  It can hand every report to
+a callback as soon as it is computed, in that run order; the list it returns
+is sorted into the canonical order, with closure appended last.  Every memo
+keyed by a group lives until that group's reports are done (_end_group).
+The record types are NamedTuples (frozen, equal to the plain tuple of their
+fields), so that importing the package needs no dataclasses.
 """
 
 from __future__ import annotations
@@ -122,6 +124,14 @@ def _timed(fn):
     return out, int((time.perf_counter() - start) * 1000)
 
 
+def _verdict(check_id, params, diff, notes=(), runtime_ms=0) -> CheckReport:
+    """A pass report if diff is None, else a fail at diff = (m, n, lhs, rhs)."""
+    if diff is None:
+        return CheckReport(check_id, params, "pass", notes=tuple(notes), runtime_ms=runtime_ms)
+    mismatch = _mismatch(*diff)
+    return CheckReport(check_id, params, "fail", None, mismatch, tuple(notes), runtime_ms)
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
@@ -130,23 +140,9 @@ def _timed(fn):
 def check_recurrences(cp: CountParams, m_max: int, n_max: int) -> CheckReport:
     """Counter recurrence over a (parts, weight) box, both sides enumerated."""
     params = _tuple_params(cp.k, cp.a, cp.d, cp.s, cp.flavor, None, n_max)
-
-    def run():
-        return counting.verify_recurrence(cp, m_max, n_max)
-
-    outcome, ms = _timed(run)
+    outcome, ms = _timed(lambda: counting.verify_recurrence(cp, m_max, n_max))
     notes = ("negative lower index extended by zero",) if outcome.extension_used else ()
-    if outcome.ok:
-        return CheckReport("recurrences", params, "pass", notes=notes, runtime_ms=ms)
-    m, n, lhs, rhs = outcome.first_mismatch
-    return CheckReport(
-        "recurrences",
-        params,
-        "fail",
-        first_mismatch=_mismatch(m, n, lhs, rhs),
-        notes=notes,
-        runtime_ms=ms,
-    )
+    return _verdict("recurrences", params, outcome.first_mismatch, notes, ms)
 
 
 def check_gf_consistency(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
@@ -159,16 +155,7 @@ def check_gf_consistency(k, a, d, s, flavor, x_order, trunc_order) -> CheckRepor
         return rec.first_difference(enum)
 
     diff, ms = _timed(run)
-    if diff is None:
-        return CheckReport("gf-consistency", params, "pass", runtime_ms=ms)
-    m, n, lhs, rhs = diff
-    return CheckReport(
-        "gf-consistency",
-        params,
-        "fail",
-        first_mismatch=_mismatch(m, n, lhs, rhs),
-        runtime_ms=ms,
-    )
+    return _verdict("gf-consistency", params, diff, runtime_ms=ms)
 
 
 def check_summand_equations(
@@ -198,18 +185,10 @@ def check_summand_equations(
             else "final display printed variant fails; corrected (q^-n base) variant holds"
         )
     if sweep.ok:
-        return CheckReport("summand-eqs", params, "pass", notes=tuple(notes), runtime_ms=ms)
+        return _verdict("summand-eqs", params, None, notes, ms)
     first = sweep.failures[0]
-    m, n, lhs, rhs = first.mismatch
     notes.append(f"first failing display: {first.display} at s={first.s} a={first.a} n={first.n}")
-    return CheckReport(
-        "summand-eqs",
-        params,
-        "fail",
-        first_mismatch=_mismatch(m, n, lhs, rhs),
-        notes=tuple(notes),
-        runtime_ms=ms,
-    )
+    return _verdict("summand-eqs", params, first.mismatch, notes, ms)
 
 
 def check_gf_match(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
@@ -237,26 +216,9 @@ def check_gf_match(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
     if not ordinary:
         notes.append("constructed series has negative q-exponents at this tuple")
     if route_diff is not None:
-        m, n, lhs, rhs = route_diff
-        return CheckReport(
-            "gf-match",
-            params,
-            "fail",
-            first_mismatch=_mismatch(m, n, lhs, rhs),
-            notes=("enumeration and functional-equation routes disagree",),
-            runtime_ms=ms,
-        )
-    if gf_diff is None:
-        return CheckReport("gf-match", params, "pass", notes=tuple(notes), runtime_ms=ms)
-    m, n, lhs, rhs = gf_diff
-    return CheckReport(
-        "gf-match",
-        params,
-        "fail",
-        first_mismatch=_mismatch(m, n, lhs, rhs),
-        notes=tuple(notes),
-        runtime_ms=ms,
-    )
+        notes = ["enumeration and functional-equation routes disagree"]
+        return _verdict("gf-match", params, route_diff, notes, ms)
+    return _verdict("gf-match", params, gf_diff, notes, ms)
 
 
 def check_product_eval(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
@@ -278,26 +240,13 @@ def check_product_eval(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
     if not chk.ordinary:
         notes.append("specialization compared in Laurent space")
     if not bridge:
-        return CheckReport(
-            "product-eval",
-            params,
-            "fail",
-            first_mismatch=_mismatch(None, 0, "bridging identity", "mismatch"),
-            notes=tuple(notes),
-            runtime_ms=ms,
-        )
+        diff = (None, 0, "bridging identity", "mismatch")
+        return _verdict("product-eval", params, diff, notes, ms)
     for label, ok, diff in chk.results:
         if not ok:
-            _, n, lhs, rhs = diff
-            return CheckReport(
-                "product-eval",
-                params,
-                "fail",
-                first_mismatch=_mismatch(None, n, lhs, rhs),
-                notes=tuple(notes + [f"failing form: {label}"]),
-                runtime_ms=ms,
-            )
-    return CheckReport("product-eval", params, "pass", notes=tuple(notes), runtime_ms=ms)
+            failing = notes + [f"failing form: {label}"]
+            return _verdict("product-eval", params, (None, *diff[1:]), failing, ms)
+    return _verdict("product-eval", params, None, notes, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +330,14 @@ def check_main_identity(
         for n in range(n_max + 1):
             left, right = lhs(n), rhs(n)
             if left != right:
-                return shape, special_used, (n, left, right)
+                return shape, special_used, (None, n, left, right)
         return shape, special_used, None
 
     (shape, special_used, mismatch), ms = _timed(run)
     notes.append(f"shape: {shape}")
     for c in special_used:
         notes.append(f"congruence counter at index {c} is product-defined (2c = modulus)")
-    if mismatch is None:
-        return CheckReport("identities", params, "pass", notes=tuple(notes), runtime_ms=ms)
-    n, lhs_v, rhs_v = mismatch
-    return CheckReport(
-        "identities",
-        params,
-        "fail",
-        first_mismatch=_mismatch(None, n, lhs_v, rhs_v),
-        notes=tuple(notes),
-        runtime_ms=ms,
-    )
+    return _verdict("identities", params, mismatch, notes, ms)
 
 
 def _tuple_params(k, a, d, s, flavor, x_order, trunc_order) -> dict:
@@ -467,6 +406,8 @@ class SuiteConfig(_ConfigFields):
             raise ConfigError("flavor must be regular or over")
         if trunc_order < 1 or x_order < 1:
             raise ConfigError("truncation orders must be positive")
+        if summand_n_max < 0:
+            raise ConfigError("summand_n_max must be at least 0")
         if "product-eval" in checks and trunc_order < x_order:
             raise ConfigError(
                 f"product-eval needs trunc_order >= x_order (got N = {trunc_order}, "
@@ -476,6 +417,10 @@ class SuiteConfig(_ConfigFields):
             raise ConfigError("a values must be at least 1")
         if s_values is not None and any(v < 0 for v in s_values):
             raise ConfigError("s values must be non-negative")
+        for name, values in (("k", ks), ("d", ds), ("a", a_values), ("s", s_values),
+                             ("flavor", flavors)):
+            if values is not None and len(set(values)) < len(values):
+                raise ConfigError(f"repeated {name} values: each report would be made twice")
         if next(_grid(self), None) is None:
             raise ConfigError("empty grid: no tuple has d <= k, 0 <= s < d and 1 <= a <= k")
         return self
@@ -485,21 +430,43 @@ class SuiteConfig(_ConfigFields):
         return cls(*iterable)
 
 
-def _grid(config: SuiteConfig) -> Iterable[tuple]:
+def _groups(config: SuiteConfig) -> Iterable[list[tuple]]:
+    """The (k, a, d, s, flavor) tuples of the grid, one non-empty list per
+    (flavor, k, d) group, with s, then a, varying within a group."""
     for flavor in config.flavors:
         for k in config.ks:
             for d in config.ds:
                 if d > k:
                     continue
                 ss = config.s_values if config.s_values is not None else range(d)
-                for s in ss:
-                    if not 0 <= s <= d - 1:
-                        continue
-                    aa = config.a_values if config.a_values is not None else range(1, k + 1)
-                    for a in aa:
-                        if not 1 <= a <= k:
-                            continue
-                        yield k, a, d, s, flavor
+                aa = config.a_values if config.a_values is not None else range(1, k + 1)
+                group = [
+                    (k, a, d, s, flavor) for s in ss if 0 <= s < d for a in aa if 1 <= a <= k
+                ]
+                if group:
+                    yield group
+
+
+def _grid(config: SuiteConfig) -> Iterable[tuple]:
+    for group in _groups(config):
+        yield from group
+
+
+def _end_group() -> None:
+    """Empty the memos keyed by a (k, d, flavor) group, in place: the
+    summand families, the functional-equation tables, the count tables and
+    lists, and the congruence series.  No later group reads them.  The parts
+    row (_width_cache), the masks (held to a byte budget) and
+    min_admissible_weight stay: they are keyed by the flavor or by (k, a),
+    are shared by every group, and stay small."""
+    for memo in (
+        gseries._summand_cache,
+        gseries._recurrence_cache,
+        counting._table_cache,
+        counting._totals_cache,
+        counting._cong_cache,
+    ):
+        memo.clear()
 
 
 def run_suite(
@@ -508,10 +475,12 @@ def run_suite(
     """Run the configured checks and return their reports in the canonical
     order (_sort_key), with closure last.
 
-    The checks run check by check, each over the grid in _grid order.
-    on_report, if given, is called with each report as soon as it is
-    computed, in that run order, and last with closure; the list returned is
-    the same with or without it.
+    The grid runs group by group (_groups), and within a group each
+    configured check in CHECK_IDS order over the group's tuples; summand-eqs
+    makes one report per group.  The group-keyed memos are emptied when a
+    group's reports are done.  on_report, if given, is called with each
+    report as soon as it is computed, in that run order, and last with
+    closure; the list returned is the same with or without it.
     """
     reports: list[CheckReport] = []
 
@@ -521,28 +490,22 @@ def run_suite(
             on_report(report)
 
     X, N = config.x_order, config.trunc_order
-    if "recurrences" in config.checks:
-        for k, a, d, s, flavor in _grid(config):
-            add(check_recurrences(CountParams(k, a, d, s, flavor), N, N))
-    if "gf-consistency" in config.checks:
-        for k, a, d, s, flavor in _grid(config):
-            add(check_gf_consistency(k, a, d, s, flavor, X, N))
-    if "summand-eqs" in config.checks:
-        seen = set()
-        for k, a, d, s, flavor in _grid(config):
-            if (k, d, flavor) in seen:
-                continue
-            seen.add((k, d, flavor))
-            add(check_summand_equations(k, d, flavor, config.summand_n_max, min(X, 8)))
-    if "gf-match" in config.checks:
-        for k, a, d, s, flavor in _grid(config):
-            add(check_gf_match(k, a, d, s, flavor, X, N))
-    if "product-eval" in config.checks:
-        for k, a, d, s, flavor in _grid(config):
-            add(check_product_eval(k, a, d, s, flavor, X, N))
-    if "identities" in config.checks:
-        for k, a, d, s, flavor in _grid(config):
-            add(check_main_identity(k, a, d, s, flavor, N, config.alt_condition))
+    per_tuple = {
+        "recurrences": lambda *t: check_recurrences(CountParams(*t), N, N),
+        "gf-consistency": lambda *t: check_gf_consistency(*t, X, N),
+        "gf-match": lambda *t: check_gf_match(*t, X, N),
+        "product-eval": lambda *t: check_product_eval(*t, X, N),
+        "identities": lambda *t: check_main_identity(*t, N, config.alt_condition),
+    }
+    for group in _groups(config):
+        for check_id in (c for c in CHECK_IDS if c in config.checks):
+            if check_id == "summand-eqs":
+                k, _, d, _, flavor = group[0]
+                add(check_summand_equations(k, d, flavor, config.summand_n_max, min(X, 8)))
+            else:
+                for t in group:
+                    add(per_tuple[check_id](*t))
+        _end_group()
     reports.sort(key=_sort_key)
     if "gf-match" in config.checks and "identities" in config.checks:
         add(closure_report(reports))

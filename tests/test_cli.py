@@ -247,15 +247,22 @@ def test_cli_writes_each_report_line_before_the_next_check(monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "check_main_identity", reading_stdout)
     assert main(STREAM_GRID) == 1
-    n_tuples = len(list(harness._grid(config_of(STREAM_GRID))))
-    assert len(written_before) == n_tuples
-    # every gf-match line is out before the first identities check runs
-    first = written_before[0].splitlines()
-    assert len(first) == n_tuples
-    assert all(" gf-match " in line for line in first)
-    # and each identities line before the next one's check runs
-    for out in written_before[1:]:
-        assert out.count("\n") == 1 and " identities " in out
+    groups = list(harness._groups(config_of(STREAM_GRID)))
+    assert len(groups) == 4  # (flavor, d) with k = 2
+    assert len(written_before) == sum(map(len, groups))
+    checks = iter(written_before)
+    for number, group in enumerate(groups):
+        # a group's gf-match lines are out before its first identities check
+        # runs, after the previous group's last identities line
+        lines = next(checks).splitlines()
+        if number:
+            assert " identities " in lines.pop(0)
+        assert len(lines) == len(group)
+        assert all(" gf-match " in line for line in lines)
+        # and each identities line before the next one's check runs
+        for _ in group[1:]:
+            out = next(checks)
+            assert out.count("\n") == 1 and " identities " in out
 
 
 def test_cli_stdout_is_run_order_then_closure_then_summary(tmp_path, capsys):
@@ -269,7 +276,10 @@ def test_cli_stdout_is_run_order_then_closure_then_summary(tmp_path, capsys):
     reports = run_suite(config)
     line_of = {(r.check_id, harness._params_key(r.params)): render_line(r) for r in reports}
     run_order = [
-        line_of[check, t] for check in ("gf-match", "identities") for t in harness._grid(config)
+        line_of[check, t]
+        for group in harness._groups(config)
+        for check in ("gf-match", "identities")
+        for t in group
     ]
     lines = first.splitlines()
     assert lines[:-2] == run_order

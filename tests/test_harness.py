@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from qgordon import counting, gseries
 from qgordon.counting import OVER, REGULAR, CountParams
 from qgordon.harness import (
     CHECK_IDS,
@@ -244,6 +247,68 @@ def test_canonical_reports_are_pinned():
         x_order=10,
     )
     assert _digest(x_one_grid) == "3993047fb61b9e94"
+    # all-mid: every check over 18 (flavor, k, d) groups
+    all_mid = SuiteConfig(ks=(2, 3, 4), ds=(1, 2, 3, 4), trunc_order=60, x_order=16)
+    assert _digest(all_mid) == "cb1e22239515f302"
+
+
+def group_memos() -> dict:
+    return {
+        "summand": gseries._summand_cache,
+        "recurrence": gseries._recurrence_cache,
+        "table": counting._table_cache,
+        "totals": counting._totals_cache,
+        "cong": counting._cong_cache,
+    }
+
+
+def test_run_suite_empties_the_group_memos_in_place():
+    before = group_memos()
+    filled = set()
+
+    def note_filled(report):
+        filled.update(name for name, memo in group_memos().items() if memo)
+
+    run_suite(small_config(ks=(2, 3), trunc_order=12, x_order=4), on_report=note_filled)
+    assert filled == set(before)  # every memo was in use during the run
+    after = group_memos()
+    assert all(after[name] is memo and memo == {} for name, memo in before.items())
+
+
+def test_concurrent_runs_match_their_serial_reports():
+    # each run empties the memos when one of its groups ends, while the other
+    # may be reading them: that costs the other a rebuild, never a value
+    configs = [
+        small_config(ks=(2, 3), ds=(1, 2, 3), trunc_order=5, x_order=2),
+        small_config(
+            checks=("recurrences", "identities"), ks=(2, 3, 4), ds=(1, 2, 3), trunc_order=4
+        ),
+    ]
+    serial = [reports_to_json(run_suite(config), include_runtime=False) for config in configs]
+    results = [[], []]
+    errors = []
+
+    def worker(i):
+        try:
+            for _ in range(15):
+                reports = run_suite(configs[i])
+                results[i].append(reports_to_json(reports, include_runtime=False))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(got == serial[i] for i in (0, 1) for got in results[i])
 
 
 def test_closure_invariant_holds_on_suite():
@@ -286,6 +351,32 @@ def test_config_validation():
         SuiteConfig(flavors=("sideways",))
     with pytest.raises(ConfigError):
         SuiteConfig(trunc_order=0)
+
+
+def test_config_rejects_a_negative_summand_index():
+    # n_max = -1 checked no display instance and passed every group
+    with pytest.raises(ConfigError, match="summand_n_max"):
+        SuiteConfig(checks=("summand-eqs",), summand_n_max=-1)
+    reports = run_suite(SuiteConfig(checks=("summand-eqs",), summand_n_max=0))
+    assert all(r.status == "pass" and r.notes[0] != "instances checked: 0" for r in reports)
+
+
+@pytest.mark.parametrize(
+    "repeated",
+    [
+        {"ks": (2, 2)},
+        {"ds": (1, 2, 1)},
+        {"a_values": (1, 1)},
+        {"s_values": (0, 0)},
+        {"flavors": (REGULAR, REGULAR)},
+    ],
+    ids=lambda kwargs: next(iter(kwargs)),
+)
+def test_config_rejects_repeated_grid_values(repeated):
+    # a repeat made each of its reports twice: ks = (2, 2) gave 24
+    # identities reports for 12 tuples
+    with pytest.raises(ConfigError, match="repeated"):
+        SuiteConfig(checks=("identities",), **repeated)
 
 
 def test_config_rejects_product_eval_below_x_order():

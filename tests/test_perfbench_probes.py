@@ -50,6 +50,15 @@ def test_memo_probes_find_dicts():
     )
 
 
+def test_memo_probes_keep_their_dicts_through_a_run():
+    # traced.install captures the summand dict once: a run that rebound it,
+    # instead of emptying it in place, would make the misses read 0
+    summands, masks = gseries._summand_cache, counting._mask_cache
+    harness.run_suite(harness.SuiteConfig(ks=(2,), ds=(1, 2), trunc_order=12, x_order=4))
+    assert gseries._summand_cache is summands
+    assert counting._mask_cache is masks
+
+
 def test_traced_run_reports_every_layer_metric(tmp_path):
     # the harness.* metrics and trace.wall_s are added by perfbench/run.py,
     # not by traced.py

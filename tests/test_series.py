@@ -99,6 +99,102 @@ def test_ring_axioms_with_mixed_offsets():
     assert (a * b).q_offset == -4
 
 
+def coefficient_dict(f):
+    """{(x_exp, q_exp): coeff} of the nonzero coefficients of f."""
+    return {
+        (m, f.q_offset + i): c for m, row in enumerate(f.rows) for i, c in enumerate(row) if c
+    }
+
+
+def dict_sum(f, g):
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def dict_product(f, g, x_order, trunc_order):
+    """The plain convolution of two coefficient dicts, cut to x^x_order and
+    q^trunc_order: the oracle of BiSeries.__mul__."""
+    out = {}
+    for (m1, e1), c1 in f.items():
+        for (m2, e2), c2 in g.items():
+            if m1 + m2 <= x_order and e1 + e2 <= trunc_order:
+                out[m1 + m2, e1 + e2] = out.get((m1 + m2, e1 + e2), 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+@st.composite
+def ring_triples(draw):
+    """Three series on one window, each at its own q-offset, negative ones
+    included."""
+    x_order = draw(st.integers(0, 3))
+    trunc = draw(st.integers(0, 10))
+
+    def series():
+        off = draw(st.integers(-4, trunc))
+        coeffs = st.lists(st.integers(-4, 4), min_size=trunc - off + 1, max_size=trunc - off + 1)
+        return BiSeries([draw(coeffs) for _ in range(x_order + 1)], x_order, trunc, off)
+
+    return series(), series(), series()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_triples())
+def test_ring_axioms_at_mixed_negative_offsets(triple):
+    a, b, c = triple
+    X, N = a.x_order, a.trunc_order
+    da, db, dc = map(coefficient_dict, triple)
+    # + and * are the oracle's sum and cut convolution, in either order
+    assert coefficient_dict(a + b) == dict_sum(da, db) == coefficient_dict(b + a)
+    assert coefficient_dict(a * b) == dict_product(da, db, X, N) == coefficient_dict(b * a)
+    assert (a + b) + c == a + (b + c)
+    # cutting at q^N is linear, so * distributes over + exactly
+    assert a * (b + c) == a * b + a * c
+    assert coefficient_dict(a * (b + c)) == dict_product(da, dict_sum(db, dc), X, N)
+    # a product cut at q^N drops terms that a factor with a negative offset
+    # would bring back below q^N, so (ab)c and a(bc) agree with the oracle
+    # through q^(N + min(0, offset of a, offset of c)), and everywhere when
+    # no offset is negative
+    top = N + min(0, a.q_offset, c.q_offset)
+    whole = dict_product(dict_product(da, db, X, 2 * N), dc, X, top)
+    for grouped in ((a * b) * c, a * (b * c)):
+        assert {key: v for key, v in coefficient_dict(grouped).items() if key[1] <= top} == whole
+    if min(f.q_offset for f in triple) >= 0:
+        assert (a * b) * c == a * (b * c)
+
+
+def test_products_are_not_associative_past_a_negative_offset():
+    # (q^N q) q^-1 loses q^(N+1) to the cut; q^N (q q^-1) keeps q^N
+    N = 6
+    a, b, c = (BiSeries.monomial(1, 0, e, 0, N) for e in (N, 1, -1))
+    assert ((a * b) * c).is_zero()
+    assert a * (b * c) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_triples(), st.sampled_from((1, -1)))
+def test_invert_unit_round_trips(triple, unit):
+    f, b, _ = triple
+    X, N = f.x_order, f.trunc_order
+    # f's coefficients at q^0..q^N, with constant term +-1: a unit
+    rows = [[f.coefficient(m, j) for j in range(N + 1)] for m in range(X + 1)]
+    rows[0][0] = unit
+    u = BiSeries(rows, X, N)
+    inverse = u.invert_unit()
+    assert dict_product(coefficient_dict(u), coefficient_dict(inverse), X, N) == {(0, 0): 1}
+    assert inverse.invert_unit() == u
+    # the inverse is exact through q^N, so b u u^-1 gives b back through
+    # q^(N + min(0, offset of b))
+    top = N + min(0, b.q_offset)
+    back = coefficient_dict((b * u) * inverse)
+    assert {key: c for key, c in back.items() if key[1] <= top} == {
+        key: c for key, c in coefficient_dict(b).items() if key[1] <= top
+    }
+    if b.q_offset >= 0:
+        assert (b * u) * inverse == b
+
+
 def test_mismatched_truncation_raises():
     a = BiSeries.one(3, 10)
     b = BiSeries.one(3, 11)
