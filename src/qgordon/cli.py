@@ -5,10 +5,10 @@
 
 Each report's line is written to stdout as soon as the report is computed,
 in run order (group by group, one (flavor, k, d) at a time, each check over
-the group's tuples), then the closure line and the summary.  The --out JSON is the canonical record: every report
-in sorted order, written when the run ends.  If stdout's reader goes away
-(`| head`), the run still finishes, writes --out and --csv-dir, and exits
-with its usual code.
+the group's tuples), then the closure line and the summary.  The --out JSON
+is the canonical record: every report in sorted order, written when the run
+ends.  If stdout's reader goes away (`| head`), the run still finishes,
+writes --out and --csv-dir, and exits with its usual code.
 
 Exit codes: 0 all checks passed (or were skipped), 1 at least one check
 failed, 2 configuration error.

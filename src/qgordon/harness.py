@@ -128,8 +128,10 @@ def _verdict(check_id, params, diff, notes=(), runtime_ms=0) -> CheckReport:
     """A pass report if diff is None, else a fail at diff = (m, n, lhs, rhs)."""
     if diff is None:
         return CheckReport(check_id, params, "pass", notes=tuple(notes), runtime_ms=runtime_ms)
-    mismatch = _mismatch(*diff)
-    return CheckReport(check_id, params, "fail", None, mismatch, tuple(notes), runtime_ms)
+    return CheckReport(
+        check_id, params, "fail", first_mismatch=_mismatch(*diff), notes=tuple(notes),
+        runtime_ms=runtime_ms,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +419,8 @@ class SuiteConfig(_ConfigFields):
             raise ConfigError("a values must be at least 1")
         if s_values is not None and any(v < 0 for v in s_values):
             raise ConfigError("s values must be non-negative")
-        for name, values in (("k", ks), ("d", ds), ("a", a_values), ("s", s_values),
-                             ("flavor", flavors)):
+        grid_values = (("k", ks), ("d", ds), ("a", a_values), ("s", s_values), ("flavor", flavors))
+        for name, values in grid_values:
             if values is not None and len(set(values)) < len(values):
                 raise ConfigError(f"repeated {name} values: each report would be made twice")
         if next(_grid(self), None) is None:
@@ -455,10 +457,11 @@ def _grid(config: SuiteConfig) -> Iterable[tuple]:
 def _end_group() -> None:
     """Empty the memos keyed by a (k, d, flavor) group, in place: the
     summand families, the functional-equation tables, the count tables and
-    lists, and the congruence series.  No later group reads them.  The parts
-    row (_width_cache), the masks (held to a byte budget) and
-    min_admissible_weight stay: they are keyed by the flavor or by (k, a),
-    are shared by every group, and stay small."""
+    lists, and the congruence series.  No later group reads them.  Three
+    memos are shared across groups and stay: the parts row (_width_cache,
+    one row per flavor), the masks (_mask_cache, held to its byte budget)
+    and min_admissible_weight (keyed by k, a, flavor and parts, a few
+    entries per k)."""
     for memo in (
         gseries._summand_cache,
         gseries._recurrence_cache,

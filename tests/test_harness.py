@@ -276,16 +276,19 @@ def test_run_suite_empties_the_group_memos_in_place():
 
 
 def test_concurrent_runs_match_their_serial_reports():
-    # each run empties the memos when one of its groups ends, while the other
-    # may be reading them: that costs the other a rebuild, never a value
+    # each run empties the memos when one of its groups ends, while the
+    # others may be reading them: that costs them a rebuild, never a value
     configs = [
         small_config(ks=(2, 3), ds=(1, 2, 3), trunc_order=5, x_order=2),
         small_config(
             checks=("recurrences", "identities"), ks=(2, 3, 4), ds=(1, 2, 3), trunc_order=4
         ),
+        small_config(
+            checks=("recurrences", "gf-consistency"), ks=(2, 3, 4), trunc_order=4, x_order=2
+        ),
     ]
     serial = [reports_to_json(run_suite(config), include_runtime=False) for config in configs]
-    results = [[], []]
+    results = [[] for _ in configs]
     errors = []
 
     def worker(i):
@@ -299,7 +302,7 @@ def test_concurrent_runs_match_their_serial_reports():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(configs))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -308,7 +311,8 @@ def test_concurrent_runs_match_their_serial_reports():
         sys.setswitchinterval(old_interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert all(got == serial[i] for i in (0, 1) for got in results[i])
+    assert [len(got) for got in results] == [15] * len(configs)
+    assert all(got == serial[i] for i, runs in enumerate(results) for got in runs)
 
 
 def test_closure_invariant_holds_on_suite():

@@ -164,14 +164,6 @@ def test_ring_axioms_at_mixed_negative_offsets(triple):
         assert (a * b) * c == a * (b * c)
 
 
-def test_products_are_not_associative_past_a_negative_offset():
-    # (q^N q) q^-1 loses q^(N+1) to the cut; q^N (q q^-1) keeps q^N
-    N = 6
-    a, b, c = (BiSeries.monomial(1, 0, e, 0, N) for e in (N, 1, -1))
-    assert ((a * b) * c).is_zero()
-    assert a * (b * c) == a
-
-
 @settings(max_examples=100, deadline=None)
 @given(ring_triples(), st.sampled_from((1, -1)))
 def test_invert_unit_round_trips(triple, unit):
