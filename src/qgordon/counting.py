@@ -6,8 +6,8 @@ Two independent routes are provided for the multiplicity-side counters:
   their counts as one packed integer each, so that a transition is a single
   bigint shift-and-add.  It runs backward, from the largest value down to 1
   (the transfer-matrix method), so that a and s enter only at its last step:
-  one build answers every (a, s) of a (k, d, flavor) and fills the cache
-  entries of all of them.  It comes in two shapes over the same states and
+  one build answers every (a, s) of a (k, d, flavor) and is held as one
+  memo entry.  It comes in two shapes over the same states and
   transitions: the (parts, weight) table behind count_table / count_mult,
   and a weight-only vector behind count_mult_totals / count_mult_total,
   which the identities check reads and which needs no per-row masks.  The
@@ -209,8 +209,9 @@ _mask_cache: dict[tuple[int, int, int, int], int] = {}
 _mask_bytes = 0  # total _mask_size of the masks in _mask_cache; both change under _mask_lock
 _mask_lock = threading.Lock()
 _MASK_BUDGET = 32 << 20  # bytes of masks that _mask_cache may hold
-_table_cache: dict[tuple[int, int, int, int, str], tuple[int, list[list[int]]]] = {}
-_totals_cache: dict[tuple[int, int, int, int, str], list[int]] = {}
+# (k, d, flavor) -> (n_max, parts, {(a, s): table}) and (n_max, {(a, s): counts})
+_table_cache: dict[tuple[int, int, str], tuple[int, int, dict]] = {}
+_totals_cache: dict[tuple[int, int, str], tuple[int, dict]] = {}
 
 
 def _parts_row(plain, lined, n_max: int, row: Optional[list[int]] = None) -> list[int]:
@@ -226,32 +227,24 @@ def _parts_row(plain, lined, n_max: int, row: Optional[list[int]] = None) -> lis
     return rows[0]
 
 
-def _deepest(memo: dict, key, want: tuple, bounds, build, group=()):
+def _deepest(memo: dict, key, want: tuple, bounds, build):
     """The memo policy: hold the deepest build, and serve from it every
     request that it covers.
 
     want is the tuple of bounds asked for at key, and bounds(held) the tuple
     that a held value is exact to.  A held value whose bounds each reach
     want's is returned as it is.  Otherwise build(*bounds) runs at the
-    largest of want and the bounds held at key or at any key of group (the
-    keys that one build fills), and returns {key: value} for each key it
-    fills; those replace the held values, and the value asked for is
-    returned as built.  It is never read back from memo, which a concurrent
-    run may have emptied in between.
+    largest of want and the bounds held at key, and its value replaces the
+    held one and is returned as built.  It is never read back from memo,
+    which a concurrent run may have emptied in between.
     """
     held = memo.get(key)
-    if held is not None and all(h >= w for h, w in zip(bounds(held), want)):
-        return held
-    for held in filter(None, map(memo.get, (key, *group))):
+    if held is not None:
+        if all(h >= w for h, w in zip(bounds(held), want)):
+            return held
         want = tuple(map(max, want, bounds(held)))
-    built = build(*want)
-    memo.update(built)
-    return built[key]
-
-
-def _row_bound(row: list) -> tuple[int]:
-    """The bounds of a held coefficient row: its last index."""
-    return (len(row) - 1,)
+    built = memo[key] = build(*want)
+    return built
 
 
 def partition_counts(flavor: str, n_max: int) -> list[int]:
@@ -262,9 +255,9 @@ def partition_counts(flavor: str, n_max: int) -> list[int]:
 
     def build(n):
         every = range(1, n + 1)
-        return {flavor: _parts_row(every, every if flavor == OVER else (), n)}
+        return _parts_row(every, every if flavor == OVER else (), n)
 
-    return _deepest(_width_cache, flavor, (n_max,), _row_bound, build)
+    return _deepest(_width_cache, flavor, (n_max,), lambda row: (len(row) - 1,), build)
 
 
 def _slot_bits(flavor: str, n_max: int) -> int:
@@ -375,11 +368,6 @@ def _window_dp(k: int, d: int, flavor: str, n_max: int, move) -> dict[tuple[int,
     }
 
 
-def _group_keys(k: int, d: int, flavor: str) -> list[tuple[int, int, int, int, str]]:
-    """Cache keys of every (a, s) that one build of (k, d, flavor) answers."""
-    return [(k, a, d, s, flavor) for a in range(1, k + 1) for s in range(d)]
-
-
 def _compute_table(
     k: int, d: int, flavor: str, n_max: int, parts: int
 ) -> dict[tuple[int, int], list[list[int]]]:
@@ -425,7 +413,8 @@ def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> lis
 
     Rows 0..parts (default n_max, every row that can be nonzero) and weights
     0..n_max are exact; the held table that serves them (_deepest) may be
-    larger.  One build fills every (a, s) of the group (k, d, flavor).
+    larger.  One build, held under (k, d, flavor), answers every (a, s) of
+    the group.
     """
     parts = n_max if parts is None else min(parts, n_max)
     if cp.a == 0:
@@ -433,14 +422,10 @@ def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> lis
     k, d, flavor = cp.k, cp.d, cp.flavor
 
     def build(n, p):
-        tables = _compute_table(k, d, flavor, n, p)
-        return {(k, a, d, s, flavor): (n, table) for (a, s), table in tables.items()}
+        return n, p, _compute_table(k, d, flavor, n, p)
 
-    def bounds(held):
-        return held[0], len(held[1]) - 1
-
-    group = _group_keys(k, d, flavor)
-    return _deepest(_table_cache, tuple(cp), (n_max, parts), bounds, build, group)[1]
+    held = _deepest(_table_cache, (k, d, flavor), (n_max, parts), lambda held: held[:2], build)
+    return held[2][cp.a, cp.s]
 
 
 def count_mult(cp: CountParams, m: int, n: int) -> int:
@@ -459,11 +444,10 @@ def count_mult_totals(cp: CountParams, n_max: int) -> list[int]:
     k, d, flavor = cp.k, cp.d, cp.flavor
 
     def build(n):
-        totals = _compute_totals(k, d, flavor, n)
-        return {(k, a, d, s, flavor): row for (a, s), row in totals.items()}
+        return n, _compute_totals(k, d, flavor, n)
 
-    group = _group_keys(k, d, flavor)
-    return _deepest(_totals_cache, tuple(cp), (n_max,), _row_bound, build, group)[: n_max + 1]
+    held = _deepest(_totals_cache, (k, d, flavor), (n_max,), lambda held: held[:1], build)
+    return held[1][cp.a, cp.s][: n_max + 1]
 
 
 def count_mult_total(cp: CountParams, n: int) -> int:
@@ -570,7 +554,7 @@ def cached_congruence_series(k: int, d: int, c: int, flavor: str, n: int):
 
     def build(n):
         series, special = congruence_series(k, d, c, flavor, max(n, 16))
-        return {key: (series.trunc_order, series, special)}
+        return series.trunc_order, series, special
 
     _, series, special = _deepest(_cong_cache, key, (n,), lambda held: held[:1], build)
     return series, special
@@ -588,6 +572,29 @@ def count_cong(cp: CountParams, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _equation_terms(k: int, a: int, s: int, flavor: str) -> list[tuple[int, int]]:
+    """The right-hand terms (j, e) of the functional equation at (k, a, s):
+
+        G[s]_(k,a) - G[(s+1) mod d]_(k,a-1) = sum of (xq)^j G[0]_(k,e)(xq)
+
+    over (j, e) = (a - 1, k - a + 1 - s), plus (a, k - a - s) for
+    overpartitions.  On the counters, a solution counted on the left has
+    exactly a - 1 non-overlined 1s; taking off those j parts (and the
+    overlined 1, for the second term) and lowering every other part by one
+    leaves a solution at lower index e and superscript 0, with m - j parts
+    of weight n - m.  A lower index e <= 0 counts nothing.
+
+    This is the one definition of the terms: the counter recurrence
+    (verify_recurrence), the functional-equation fill and check
+    (gseries._recurrence_tables, gseries.verify_gf_functional_equation) and
+    the summand displays (gseries.verify_summand_recurrences) read it.
+    """
+    terms = [(a - 1, k - a + 1 - s)]
+    if flavor == OVER:
+        terms.append((a, k - a - s))
+    return terms
+
+
 class RecurrenceOutcome(NamedTuple):
     """Result of sweeping the counter recurrence over a (parts, weight) box."""
 
@@ -600,10 +607,9 @@ def verify_recurrence(cp: CountParams, m_max: int, n_max: int) -> RecurrenceOutc
     """Check the defining recurrence of the counters on a (parts, weight) box.
 
     The counter at (k, a, s) splits by the number of 1s: solutions with fewer
-    than a-1 of them biject onto the (a-1, s+1) counter, and stripping a-1 1s
-    and lowering every part by one sends the rest onto the lower-index
-    counters at (m-a+1, n-m) (plus, for overpartitions, the overlined-1 class
-    at (m-a, n-m)).  Superscripts are residues mod d; lower indices below 0
+    than a-1 of them biject onto the (a-1, s+1) counter, and the rest onto
+    the counters of the terms (j, e) of _equation_terms, at lower index e
+    and (m-j, n-m).  Superscripts are residues mod d; lower indices below 0
     contribute 0 and set the extension flag.
 
     Each of the three or four tables is built once, at the largest bound, and
@@ -622,26 +628,24 @@ def verify_recurrence(cp: CountParams, m_max: int, n_max: int) -> RecurrenceOutc
 
     lhs_table = table(a, s)
     same_table = table(a - 1, s + 1)  # read at (m, n)
-    # (table, lower index, shift): read at (m - shift, n - m)
-    stripped = [(table(k - a + 1 - s, 0), k - a + 1 - s, a - 1)]
-    if cp.is_over:
-        stripped.append((table(k - a - s, 0), k - a - s, a))
+    # (table, e, j) of each term: read at (m - j, n - m)
+    stripped = [(table(e, 0), e, j) for j, e in _equation_terms(k, a, s, flavor)]
     mismatch = None
     for m in range(m_max + 1):
         lhs = lhs_table[m][:width] if lhs_table else [0] * width
         rhs = list(same_table[m][:width]) if same_table else [0] * width
-        for rows, _, shift in stripped:
-            if 0 <= m - shift < len(rows):
-                rhs[m:] = [u + v for u, v in zip(rhs[m:], rows[m - shift])]
+        for rows, _, j in stripped:
+            if 0 <= m - j < len(rows):
+                rhs[m:] = [u + v for u, v in zip(rhs[m:], rows[m - j])]
         if lhs != rhs:
             n = next(n for n, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
             if mismatch is None or n < mismatch[1]:
                 mismatch = (m, n, lhs[n], rhs[n])
     # the sweep runs n-major and stops at its first mismatch; each
-    # negative-index counter is first read at m = n = (its shift, or 0)
+    # negative-index counter is first read at m = n = (its j, or 0)
     stop = (mismatch[1], mismatch[0]) if mismatch else (n_max, m_max)
     first_reads = [0] if a - 1 < 0 else []
-    first_reads += [max(shift, 0) for _, lower, shift in stripped if lower < 0]
+    first_reads += [max(j, 0) for _, e, j in stripped if e < 0]
     extension = any(m0 <= m_max and (m0, m0) <= stop for m0 in first_reads)
     return RecurrenceOutcome(mismatch is None, mismatch, extension)
 

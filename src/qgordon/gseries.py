@@ -54,6 +54,7 @@ from .counting import (
     REGULAR,
     CountParams,
     _deepest,
+    _equation_terms,
     count_table,
     min_admissible_weight,
     modulus,
@@ -142,7 +143,7 @@ def summand_series(
     key = (kind, k, d, s, n, flavor, x_order)
 
     def build(N):
-        return {key: _build_summand(kind, k, d, s, n, flavor, x_order, N)}
+        return _build_summand(kind, k, d, s, n, flavor, x_order, N)
 
     held = _deepest(_summand_cache, key, (trunc_order,), lambda f: (f.trunc_order,), build)
     return held if packed else held.series(trunc_order)
@@ -424,37 +425,40 @@ def _recurrence_tables(k, d, flavor, x_order, trunc_order):
     x^x_order q^trunc_order or further.
 
     values[s][a][m][n] with the base rows f(s, 0, *, *) = 0 and
-    f(s, a, 0, n) = [n == 0], filled upward in (m, n, a); lower indices
-    below zero contribute nothing (their classes are provably empty).  An
-    entry reads only entries of no larger m and n, so a deeper fill agrees
-    with a shallower one: _recurrence_cache holds the deepest of each
-    (k, d, flavor), as (X, N, values).
+    f(s, a, 0, n) = [n == 0], filled upward in (m, n, a): the entry at
+    (m, n) is f((s+1) mod d, a-1, m, n) plus f(0, e, m-j, n-m) over the
+    terms (j, e) of counting._equation_terms.  Lower indices e <= 0
+    contribute nothing (their classes are provably empty), and no entry
+    with n < m is nonzero.  An entry reads only entries of no larger m and
+    n, so a deeper fill agrees with a shallower one: _recurrence_cache
+    holds the deepest of each (k, d, flavor), as (X, N, values).
     """
-    over = flavor == OVER
 
     def build(X, N):
         values = [
             [[[0] * (N + 1) for _ in range(X + 1)] for _ in range(k + 1)] for _ in range(d)
         ]
-        for s in range(d):
-            for a in range(1, k + 1):
+        # per (a, s), a ascending (an entry reads the a-1 entry at its own
+        # (m, n)): its table, the ((s+1) mod d, a-1) table and (j, the (0, e)
+        # table) of each term with e >= 1; a j = 0 term reads row m at n-m < n
+        cells = []
+        for a in range(1, k + 1):
+            for s in range(d):
                 values[s][a][0][0] = 1
+                terms = [(j, values[0][e]) for j, e in _equation_terms(k, a, s, flavor) if e >= 1]
+                cells.append((values[s][a], values[(s + 1) % d][a - 1], terms))
         for m in range(1, X + 1):
-            for n in range(N + 1):
-                for a in range(1, k + 1):
-                    for s in range(d):
-                        acc = values[(s + 1) % d][a - 1][m][n]
-                        c1 = k - a + 1 - s
-                        m1, n1 = m - a + 1, n - m
-                        if c1 >= 1 and 0 <= m1 <= X and 0 <= n1 <= N:
-                            acc += values[0][c1][m1][n1]
-                        if over:
-                            c2 = k - a - s
-                            m2 = m - a
-                            if c2 >= 1 and 0 <= m2 <= X and 0 <= n1 <= N:
-                                acc += values[0][c2][m2][n1]
-                        values[s][a][m][n] = acc
-        return {(k, d, flavor): (X, N, values)}
+            rows = [
+                (table[m], same[m], [term[m - j] for j, term in terms if j <= m])
+                for table, same, terms in cells
+            ]
+            for n in range(m, N + 1):
+                for row, same_row, term_rows in rows:
+                    acc = same_row[n]
+                    for term_row in term_rows:
+                        acc += term_row[n - m]
+                    row[n] = acc
+        return X, N, values
 
     key, want = (k, d, flavor), (x_order, trunc_order)
     return _deepest(_recurrence_cache, key, want, lambda held: held[:2], build)[2]
@@ -579,21 +583,23 @@ def verify_summand_recurrences(
 ) -> SummandSweep:
     """Check every summand recurrence display over s, a <= k, n <= n_max.
 
-    The displays relate alpha[s]_n and alpha[s+1]_n (resp. beta) to the
-    0-superscript family at argument xq; the wrap-around instances use
-    s = d-1 with the exponents k-a+2-d and k-a+1-d.  Exponents of the
-    (x q^(n+1)) monomials may be negative; both sides are assembled with
-    combined prefactor monomials, whose x-part is k-s or k+1-d and hence
-    never negative.  The final display is checked in its printed form
-    ((x q^(-n))^(k-a+1-d) in the second term) and in the corrected form
-    ((q^(-n))^(k-a+1-d)); the sweep records which variant holds.
+    The displays relate alpha[s]_n and alpha[(s+1) mod d]_n (resp. beta) to
+    the 0-superscript family at argument xq, one right-hand term per term
+    (j, e) of counting._equation_terms.  The wrap-around instances
+    ("alpha-wrap", "beta-wrap") are the step instances at s = d-1, where
+    s+1 is taken mod d.  Exponents of the (x q^(n+1)) monomials may be
+    negative; both sides are assembled with combined prefactor monomials,
+    whose x-part j+e = k-s is never negative.  The over wrap display
+    ("beta-wrap-over") is checked in its printed form ((x q^(-n))^e in the
+    second term, x-power j+e) and in the corrected form ((q^(-n))^e, x-power
+    j); the sweep records which variant holds.
     """
     N = trunc_order if trunc_order is not None else needed_trunc_order(k, d, n_max)
     X = x_order
     over = flavor == OVER
     sweep = SummandSweep(k, d, flavor, n_max, X, N)
 
-    # summand terms (kind, s, n, coeff, mono_x, mono_q, at_xq) of _build_side
+    # summand terms (kind, s, n, coeff, mono_x, mono_q, at_xq) of _side_terms
     def al(s, n, mono_x, mono_q, coeff=1):
         return ("alpha", s, n, coeff, mono_x, mono_q, False)
 
@@ -612,64 +618,31 @@ def verify_summand_recurrences(
     def record(display, s, a, n, lhs_parts, rhs_parts):
         sweep.instances += 1
         diff = _first_difference(*sides(lhs_parts, rhs_parts))
-        ok = diff is None
-        if not ok:
+        if diff is not None:
             sweep.failures.append(DisplayCheck(display, s, a, n, False, diff))
-        return ok
 
     for n in range(n_max + 1):
         for a in range(1, k + 1):
-            for s in range(d - 1):
-                e1 = k - a + 1 - s
-                e2 = k - a - s
-                # alpha display: alpha[s]_n q^(-na) - alpha[s+1]_n q^(-n(a-1))
-                #   = (xq)^(a-1) beta[0]_(n-1)(xq) (x q^(n+1))^e1  [+ over term]
-                rhs = [be_xq(0, n - 1, (a - 1) + e1, (a - 1) + (n + 1) * e1)]
-                if over:
-                    rhs.append(be_xq(0, n - 1, a + e2, a + (n + 1) * e2))
-                record(
-                    "alpha-step",
-                    s,
-                    a,
-                    n,
-                    [al(s, n, 0, -n * a), al(s + 1, n, 0, -n * (a - 1), -1)],
-                    rhs,
-                )
-                # beta display: beta[s]_n (xq^(n+1))^a - beta[s+1]_n (xq^(n+1))^(a-1)
-                #   = (xq)^(a-1) alpha[0]_n(xq) (q^(-n))^e1  [+ over term]
-                rhs = [al_xq(0, n, a - 1, (a - 1) - n * e1)]
-                if over:
-                    rhs.append(al_xq(0, n, a, a - n * e2))
-                record(
-                    "beta-step",
-                    s,
-                    a,
-                    n,
-                    [be(s, n, a, (n + 1) * a), be(s + 1, n, a - 1, (n + 1) * (a - 1), -1)],
-                    rhs,
-                )
-            # wrap-around instances, s = d-1
-            w1 = k - a + 2 - d
-            w2 = k - a + 1 - d
-            rhs = [be_xq(0, n - 1, (a - 1) + w1, (a - 1) + (n + 1) * w1)]
-            if over:
-                rhs.append(be_xq(0, n - 1, a + w2, a + (n + 1) * w2))
-            record(
-                "alpha-wrap",
-                d - 1,
-                a,
-                n,
-                [al(d - 1, n, 0, -n * a), al(0, n, 0, -n * (a - 1), -1)],
-                rhs,
-            )
-            lhs = [be(d - 1, n, a, (n + 1) * a), be(0, n, a - 1, (n + 1) * (a - 1), -1)]
-            if not over:
-                record("beta-wrap", d - 1, a, n, lhs, [al_xq(0, n, a - 1, (a - 1) - n * w1)])
-            else:
-                base = [al_xq(0, n, a - 1, (a - 1) - n * w1)]
-                printed = base + [al_xq(0, n, a + w2, a - n * w2)]
-                corrected = base + [al_xq(0, n, a, a - n * w2)]
-                lhs_sum, printed_sum, corrected_sum = sides(lhs, printed, corrected)
+            for s in range(d):
+                s1, wrap = (s + 1) % d, s == d - 1
+                step = "wrap" if wrap else "step"
+                terms = _equation_terms(k, a, s, flavor)
+                # alpha display: alpha[s]_n q^(-na) - alpha[s1]_n q^(-n(a-1))
+                #   = sum of (xq)^j beta[0]_(n-1)(xq) (x q^(n+1))^e
+                lhs = [al(s, n, 0, -n * a), al(s1, n, 0, -n * (a - 1), -1)]
+                rhs = [be_xq(0, n - 1, j + e, j + (n + 1) * e) for j, e in terms]
+                record("alpha-" + step, s, a, n, lhs, rhs)
+                # beta display: beta[s]_n (xq^(n+1))^a - beta[s1]_n (xq^(n+1))^(a-1)
+                #   = sum of (xq)^j alpha[0]_n(xq) (q^(-n))^e
+                lhs = [be(s, n, a, (n + 1) * a), be(s1, n, a - 1, (n + 1) * (a - 1), -1)]
+                rhs = [al_xq(0, n, j, j - n * e) for j, e in terms]
+                if not (wrap and over):
+                    record("beta-" + step, s, a, n, lhs, rhs)
+                    continue
+                # the printed over wrap display: the second term at x-power j+e
+                j, e = terms[1]
+                printed = rhs[:1] + [al_xq(0, n, j + e, j - n * e)]
+                lhs_sum, printed_sum, corrected_sum = sides(lhs, printed, rhs)
                 printed_ok = _first_difference(lhs_sum, printed_sum) is None
                 corrected_diff = _first_difference(lhs_sum, corrected_sum)
                 sweep.instances += 1
@@ -677,7 +650,7 @@ def verify_summand_recurrences(
                 if corrected_diff is not None:
                     sweep.suspect_corrected_ok = False
                     sweep.failures.append(
-                        DisplayCheck("beta-wrap-over", d - 1, a, n, False, corrected_diff)
+                        DisplayCheck("beta-wrap-over", s, a, n, False, corrected_diff)
                     )
     return sweep
 
@@ -687,8 +660,8 @@ def verify_gf_functional_equation(
 ):
     """Check the generating-function functional equation at one tuple.
 
-    G[s]_(k,a) - G[(s+1) mod d]_(k,a-1) = (xq)^(a-1) G[0]_(k, k-a+1-s)(xq)
-    (+ (xq)^a G[0]_(k, k-a-s)(xq) for overpartitions).  Both sides are
+    G[s]_(k,a) - G[(s+1) mod d]_(k,a-1) = sum of (xq)^j G[0]_(k,e)(xq) over
+    the terms (j, e) of counting._equation_terms.  Both sides are
     assembled summand-by-summand with folded monomials, so lower indices
     below zero never materialize negative x-powers; the check runs on every
     valid tuple.  Returns None or the first differing coefficient.
@@ -696,9 +669,9 @@ def verify_gf_functional_equation(
     X, N = x_order, trunc_order
     lhs = _span_terms(k, d, s, a, flavor, X, N, False, 0, 0)
     lhs += _span_terms(k, d, (s + 1) % d, a - 1, flavor, X, N, False, 0, 0, coeff=-1)
-    rhs = _span_terms(k, d, 0, k - a + 1 - s, flavor, X, N, True, a - 1, a - 1)
-    if flavor == OVER:
-        rhs += _span_terms(k, d, 0, k - a - s, flavor, X, N, True, a, a)
+    rhs = []
+    for j, e in _equation_terms(k, a, s, flavor):
+        rhs += _span_terms(k, d, 0, e, flavor, X, N, True, j, j)
     return _first_difference(*_sums([lhs, rhs], X, N))
 
 
@@ -738,8 +711,9 @@ def identification_grounded(k, a, d, s, flavor) -> bool:
     """True when the determining chain of functional equations never
     references a lower index below zero.  Chains step (a, s) -> (a-1, s+1)
     with the index sum non-increasing, so only the initial sum matters.
-    The over flavor also uses the k-a-s index, hence the tighter bound;
-    tuples failing this are exactly where the identification breaks.
+    The lower indices referenced are those of counting._equation_terms; the
+    over flavor also uses the k-a-s index, hence the tighter bound.  Tuples
+    failing this are exactly where the identification breaks.
 
     For a regular tuple, "identified and not grounded" holds exactly when
     d | 2(k+1) and 2(a+s) = 2k+2+d.  Indeed t = a+s-k-1 then satisfies

@@ -560,23 +560,26 @@ def reports_to_json(reports: list[CheckReport], include_runtime: bool = True) ->
 
 
 def export_csv_tables(directory, config: SuiteConfig) -> list[str]:
-    """Write counter tables and constructed-series coefficient tables."""
+    """Write counter tables and constructed-series coefficient tables, group
+    by group (_groups), emptying the group-keyed memos as each group ends."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for k, a, d, s, flavor in _grid(config):
-        stem = f"k{k}_a{a}_d{d}_s{s}_{flavor}"
-        counts_path = directory / f"counts_{stem}.csv"
-        with open(counts_path, "w", newline="") as fh:
-            counting.write_count_table_csv(
-                fh, CountParams(k, a, d, s, flavor), config.trunc_order, config.trunc_order
+    for group in _groups(config):
+        for k, a, d, s, flavor in group:
+            stem = f"k{k}_a{a}_d{d}_s{s}_{flavor}"
+            counts_path = directory / f"counts_{stem}.csv"
+            with open(counts_path, "w", newline="") as fh:
+                counting.write_count_table_csv(
+                    fh, CountParams(k, a, d, s, flavor), config.trunc_order, config.trunc_order
+                )
+            written.append(str(counts_path))
+            series_path = directory / f"series_{stem}.csv"
+            g = gseries.constructed_gf(
+                k, a, d, s, flavor, config.x_order, config.trunc_order, require_ordinary=False
             )
-        written.append(str(counts_path))
-        series_path = directory / f"series_{stem}.csv"
-        g = gseries.constructed_gf(
-            k, a, d, s, flavor, config.x_order, config.trunc_order, require_ordinary=False
-        )
-        with open(series_path, "w", newline="") as fh:
-            write_coefficients_csv(fh, g)
-        written.append(str(series_path))
+            with open(series_path, "w", newline="") as fh:
+                write_coefficients_csv(fh, g)
+            written.append(str(series_path))
+        _end_group()
     return written

@@ -13,8 +13,12 @@ series it represents on its stated window; content above trunc_order is
 discarded.  Operations that would lose completeness instead shrink the stated
 window: multiplying by q^e with e < 0 lowers trunc_order by |e|, so callers
 must build with head room and finish with an explicit truncated() call.
-Mixing truncation orders in arithmetic raises TruncationMismatch rather than
-silently re-truncating.
+The product * is the exception: it is the product of the two stored windows,
+cut at q^N = trunc_order, and keeps trunc_order even when a factor has a
+negative q-offset.  As a series it is exact only through
+q^(N + min(0, both offsets)), since the content a factor dropped above q^N
+would land below q^N in the product.  Mixing truncation orders in arithmetic
+raises TruncationMismatch rather than silently re-truncating.
 
 Every value is immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -144,6 +148,9 @@ class BiSeries:
         )
 
     def __mul__(self, other: "BiSeries | int") -> "BiSeries":
+        """The product of the stored windows, cut at q^trunc_order, which it
+        keeps (see the completeness contract): for factors at q-offsets o1 and
+        o2 it is exact as a series only through q^(trunc_order + min(0, o1, o2))."""
         if isinstance(other, int):
             return self._like(
                 [[other * c for c in row] for row in self.rows],

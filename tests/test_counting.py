@@ -1,5 +1,6 @@
 """Counter enumeration: paper-style fixtures, cross-checks, and recurrences."""
 
+import functools
 import io
 import random
 import sys
@@ -15,6 +16,7 @@ from qgordon.counting import (
     CountParams,
     FreqSolution,
     RecurrenceOutcome,
+    _equation_terms,
     congruence_series,
     count_cong,
     count_mult,
@@ -391,30 +393,34 @@ def test_group_build_holds_the_union_of_its_bounds(monkeypatch):
     monkeypatch.setattr(counting, "_totals_cache", {})
     monkeypatch.setattr(counting, "_compute_table", spy_table)
     monkeypatch.setattr(counting, "_compute_totals", spy_totals)
-    group = sorted((3, a, 2, s, OVER) for a, s in group_starts(3, 2))
-    # one build fills every (a, s) of the group
+    group = sorted(group_starts(3, 2))
+    # one build fills the group's entry, with a table for every (a, s)
     count_table(CountParams(3, 2, 2, 1, OVER), 20, 4)
     assert built == [(3, 2, OVER, 20, 4)]
-    assert sorted(counting._table_cache) == group
+    assert list(counting._table_cache) == [(3, 2, OVER)]
+    assert sorted(counting._table_cache[3, 2, OVER][2]) == group
     assert len(count_table(CountParams(3, 1, 2, 0, OVER), 12, 3)) == 5
     assert len(built) == 1
     # more rows but fewer weights: the miss builds the union for the whole
     # group, so no held table shrinks
     count_table(CountParams(3, 3, 2, 0, OVER), 10, 8)
     assert built[1:] == [(3, 2, OVER, 20, 8)]
-    for key in group:
-        held_n, table = counting._table_cache[key]
-        assert (held_n, len(table)) == (20, 9), key
+    held_n, held_parts, tables = counting._table_cache[3, 2, OVER]
+    assert (held_n, held_parts) == (20, 8)
+    for start in group:
+        assert (len(tables[start]), len(tables[start][0])) == (9, 21), start
     # another group is built on its own and leaves this one alone
     count_table(CountParams(3, 2, 1, 0, OVER), 5, 2)
     assert built[2:] == [(3, 1, OVER, 5, 2)]
-    assert all(counting._table_cache[key][0] == 20 for key in group)
+    assert counting._table_cache[3, 2, OVER][2] is tables
     # the weight-only lists follow the same rule
     count_mult_totals(CountParams(3, 2, 2, 1, OVER), 30)
     assert len(count_mult_totals(CountParams(3, 3, 2, 0, OVER), 10)) == 11
     count_mult_totals(CountParams(3, 1, 2, 1, OVER), 35)
     assert built[3:] == [(3, 2, OVER, 30), (3, 2, OVER, 35)]
-    assert all(len(counting._totals_cache[key]) == 36 for key in group)
+    held_n, lists = counting._totals_cache[3, 2, OVER]
+    assert held_n == 35 and sorted(lists) == group
+    assert all(len(lists[start]) == 36 for start in group)
 
 
 def test_x_one_grid_builds_one_table_per_group(monkeypatch):
@@ -739,6 +745,42 @@ def test_recurrence_sweep_small_grid():
                     for flavor in (REGULAR, OVER):
                         out = verify_recurrence(CountParams(k, a, d, s, flavor), 10, 10)
                         assert out.ok, (k, a, d, s, flavor, out)
+
+
+def test_equation_terms_hold_on_the_enumerator():
+    # the one definition of the functional equation's terms, checked on the
+    # brute-force enumerator instead of the DP tables: the count at (a, s)
+    # minus the count at (a-1, (s+1) mod d) is the sum over the terms (j, e)
+    # of the count at (e, 0) with m - j parts of weight n - m
+    n_max = 8
+    for flavor in (REGULAR, OVER):
+        solutions = [list(iter_freq_solutions(n, flavor)) for n in range(n_max + 1)]
+
+        @functools.cache
+        def by_parts(k, a, d, s, n):
+            cp = CountParams(k, a, d, s, flavor)
+            counts = [0] * (n + 1)
+            for sol in solutions[n]:
+                if satisfies_mult_conditions(sol, cp):
+                    counts[sol.num_parts] += 1
+            return counts
+
+        def count(k, a, d, s, m, n):
+            if a <= 0 or not 0 <= m <= n:
+                return 0
+            return by_parts(k, a, d, s, n)[m]
+
+        for k in (2, 3, 4):
+            for d in range(1, k + 1):
+                for s in range(d):
+                    for a in range(1, k + 1):
+                        terms = _equation_terms(k, a, s, flavor)
+                        for n in range(n_max + 1):
+                            for m in range(n + 1):
+                                lhs = count(k, a, d, s, m, n)
+                                lhs -= count(k, a - 1, d, (s + 1) % d, m, n)
+                                rhs = sum(count(k, e, d, 0, m - j, n - m) for j, e in terms)
+                                assert lhs == rhs, (flavor, k, a, d, s, m, n)
 
 
 def reference_verify_recurrence(cp, m_max, n_max):

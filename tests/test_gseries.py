@@ -559,6 +559,42 @@ def test_summand_recurrences_d1_single_group():
     assert sweep.instances == 2 * 2 * 4
 
 
+def test_summand_sweep_names_each_failing_display(monkeypatch):
+    # alpha[0]_1 with one slot off by one: every display that reads it inside
+    # the window fails, and the sweep names each failure by (display, s, a,
+    # n), in sweep order (n, then a, then s; alpha before beta)
+    build = gseries._build_summand
+
+    def corrupted(kind, k, d, s, n, flavor, x_order, trunc_order):
+        f = build(kind, k, d, s, n, flavor, x_order, trunc_order)
+        if (kind, s, n) == ("alpha", 0, 1):
+            f = f._replace(rows=[r + (m == 3) for m, r in enumerate(f.rows)])
+        return f
+
+    monkeypatch.setattr(gseries, "_build_summand", corrupted)
+    monkeypatch.setattr(gseries, "_summand_cache", {})
+    for flavor, beta_wrap in ((REGULAR, "beta-wrap"), (OVER, "beta-wrap-over")):
+        sweep = verify_summand_recurrences(3, 2, flavor, 2, 4)
+        assert sweep.instances == 3 * 3 * 2 * 2  # n, a, s and two displays
+        assert [(f.display, f.s, f.a, f.n) for f in sweep.failures] == [
+            ("alpha-step", 0, 1, 1),
+            ("beta-step", 0, 1, 1),
+            ("alpha-wrap", 1, 1, 1),
+            (beta_wrap, 1, 1, 1),
+            ("alpha-step", 0, 2, 1),
+            ("beta-step", 0, 2, 1),
+            ("alpha-wrap", 1, 2, 1),
+            (beta_wrap, 1, 2, 1),
+            ("alpha-step", 0, 3, 1),
+            ("alpha-wrap", 1, 3, 1),
+        ], flavor
+        assert all(not f.ok and f.mismatch is not None for f in sweep.failures)
+        # both over wrap forms fail: the printed one fails without the
+        # corruption too, and the corrected one is the reported failure
+        assert sweep.suspect_printed_ok is sweep.suspect_corrected_ok is (flavor == REGULAR)
+        assert not sweep.ok
+
+
 def test_gf_functional_equation_all_small_tuples():
     # holds on every valid tuple, including those where the lower index on
     # the right side drops below zero (assembled with folded monomials)

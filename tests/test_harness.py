@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qgordon import counting, gseries
+from qgordon import counting, gseries, harness
 from qgordon.counting import OVER, REGULAR, CountParams
 from qgordon.harness import (
     CHECK_IDS,
@@ -250,6 +250,16 @@ def test_canonical_reports_are_pinned():
     # all-mid: every check over 18 (flavor, k, d) groups
     all_mid = SuiteConfig(ks=(2, 3, 4), ds=(1, 2, 3, 4), trunc_order=60, x_order=16)
     assert _digest(all_mid) == "cb1e22239515f302"
+    # the summand displays over k 2..6 and d 1..6, the one pinned grid with
+    # d up to 6
+    summand_eqs = SuiteConfig(
+        checks=("summand-eqs",),
+        ks=(2, 3, 4, 5, 6),
+        ds=(1, 2, 3, 4, 5, 6),
+        trunc_order=40,
+        x_order=10,
+    )
+    assert _digest(summand_eqs) == "70a3df254de8add9"
 
 
 def group_memos() -> dict:
@@ -400,6 +410,24 @@ def test_csv_export(tmp_path):
         with open(name) as fh:
             header = fh.readline().strip()
         assert header in ("k,a,d,s,flavor,m,n,count", "x_exp,q_exp,coefficient")
+
+
+def test_csv_export_empties_the_group_memos_in_place(tmp_path, monkeypatch):
+    before = group_memos()
+    held = []  # count-table groups held as each group ends
+    end_group = harness._end_group
+
+    def spy_end_group():
+        held.append(len(counting._table_cache))
+        end_group()
+
+    monkeypatch.setattr(harness, "_end_group", spy_end_group)
+    config = small_config(ks=(2, 3), trunc_order=12, x_order=4)
+    files = export_csv_tables(tmp_path, config)
+    assert len(files) == 2 * len(list(harness._grid(config)))
+    assert held == [1] * 8  # one per (flavor, k, d) group, each holding its own
+    after = group_memos()
+    assert all(after[name] is memo and memo == {} for name, memo in before.items())
 
 
 def test_readme_worked_example_runs():
