@@ -7,8 +7,9 @@ Each report's line is written to stdout as soon as the report is computed,
 in run order (group by group, one (flavor, k, d) at a time, each check over
 the group's tuples), then the closure line and the summary.  The --out JSON
 is the canonical record: every report in sorted order, written when the run
-ends.  If stdout's reader goes away (`| head`), the run still finishes,
-writes --out and --csv-dir, and exits with its usual code.
+ends.  The --csv-dir tables are written group by group during the run.  If
+stdout's reader goes away (`| head`), the run still finishes, writes --out
+and --csv-dir, and exits with its usual code.
 
 Exit codes: 0 all checks passed (or were skipped), 1 at least one check
 failed, 2 configuration error.
@@ -28,8 +29,8 @@ from .harness import (
     CHECK_IDS,
     ConfigError,
     SuiteConfig,
+    _grid,
     exit_code,
-    export_csv_tables,
     reports_to_json,
     run_suite,
 )
@@ -169,7 +170,11 @@ def main(argv: Optional[list] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     with out or contextlib.nullcontext():
-        reports = run_suite(config, on_report=lambda report: _write_line(render_line(report)))
+        reports = run_suite(
+            config,
+            on_report=lambda report: _write_line(render_line(report)),
+            csv_dir=args.csv_dir or None,
+        )
         counts = {
             status: sum(1 for r in reports if r.status == status)
             for status in ("pass", "fail", "skipped")
@@ -181,8 +186,8 @@ def main(argv: Optional[list] = None) -> int:
         if out is not None:
             out.write(reports_to_json(reports) + "\n")
     if args.csv_dir:
-        written = export_csv_tables(args.csv_dir, config)
-        _write_line(f"wrote {len(written)} CSV files to {args.csv_dir}")
+        # a counts and a series file per tuple of the grid
+        _write_line(f"wrote {2 * len(list(_grid(config)))} CSV files to {args.csv_dir}")
     return exit_code(reports)
 
 

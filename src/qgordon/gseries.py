@@ -558,21 +558,6 @@ def needed_trunc_order(k: int, d: int, n_max: int) -> int:
     return (2 * k + 2 - d) * n_max * (n_max + 1) // 2 + (k + d) * (n_max + 2) + 12
 
 
-def _side_terms(k, d, flavor, parts, x_order, trunc_order):
-    """The _sum_terms terms of (kind, s, n, coeff, mono_x, mono_q, at_xq)
-    summand parts, each summand built with enough head room."""
-    return [
-        (
-            _summand_term(kind, k, d, s, n, flavor, x_order, trunc_order, mono_q),
-            coeff,
-            mono_x,
-            mono_q,
-            at_xq,
-        )
-        for kind, s, n, coeff, mono_x, mono_q, at_xq in parts
-    ]
-
-
 def verify_summand_recurrences(
     k: int,
     d: int,
@@ -599,25 +584,14 @@ def verify_summand_recurrences(
     over = flavor == OVER
     sweep = SummandSweep(k, d, flavor, n_max, X, N)
 
-    # summand terms (kind, s, n, coeff, mono_x, mono_q, at_xq) of _side_terms
-    def al(s, n, mono_x, mono_q, coeff=1):
-        return ("alpha", s, n, coeff, mono_x, mono_q, False)
+    def term(kind, s, n, mono_x, mono_q, coeff=1, at_xq=False):
+        """The _sum_terms term of a summand, built with enough head room."""
+        f = _summand_term(kind, k, d, s, n, flavor, X, N, mono_q)
+        return f, coeff, mono_x, mono_q, at_xq
 
-    def al_xq(s, n, mono_x, mono_q):
-        return ("alpha", s, n, 1, mono_x, mono_q, True)
-
-    def be(s, n, mono_x, mono_q, coeff=1):
-        return ("beta", s, n, coeff, mono_x, mono_q, False)
-
-    def be_xq(s, n, mono_x, mono_q):
-        return ("beta", s, n, 1, mono_x, mono_q, True)
-
-    def sides(*parts):
-        return _sums([_side_terms(k, d, flavor, p, X, N) for p in parts], X, N)
-
-    def record(display, s, a, n, lhs_parts, rhs_parts):
+    def record(display, s, a, n, lhs, rhs):
         sweep.instances += 1
-        diff = _first_difference(*sides(lhs_parts, rhs_parts))
+        diff = _first_difference(*_sums([lhs, rhs], X, N))
         if diff is not None:
             sweep.failures.append(DisplayCheck(display, s, a, n, False, diff))
 
@@ -629,20 +603,25 @@ def verify_summand_recurrences(
                 terms = _equation_terms(k, a, s, flavor)
                 # alpha display: alpha[s]_n q^(-na) - alpha[s1]_n q^(-n(a-1))
                 #   = sum of (xq)^j beta[0]_(n-1)(xq) (x q^(n+1))^e
-                lhs = [al(s, n, 0, -n * a), al(s1, n, 0, -n * (a - 1), -1)]
-                rhs = [be_xq(0, n - 1, j + e, j + (n + 1) * e) for j, e in terms]
+                lhs = [term("alpha", s, n, 0, -n * a), term("alpha", s1, n, 0, -n * (a - 1), -1)]
+                rhs = [
+                    term("beta", 0, n - 1, j + e, j + (n + 1) * e, at_xq=True) for j, e in terms
+                ]
                 record("alpha-" + step, s, a, n, lhs, rhs)
                 # beta display: beta[s]_n (xq^(n+1))^a - beta[s1]_n (xq^(n+1))^(a-1)
                 #   = sum of (xq)^j alpha[0]_n(xq) (q^(-n))^e
-                lhs = [be(s, n, a, (n + 1) * a), be(s1, n, a - 1, (n + 1) * (a - 1), -1)]
-                rhs = [al_xq(0, n, j, j - n * e) for j, e in terms]
+                lhs = [
+                    term("beta", s, n, a, (n + 1) * a),
+                    term("beta", s1, n, a - 1, (n + 1) * (a - 1), -1),
+                ]
+                rhs = [term("alpha", 0, n, j, j - n * e, at_xq=True) for j, e in terms]
                 if not (wrap and over):
                     record("beta-" + step, s, a, n, lhs, rhs)
                     continue
                 # the printed over wrap display: the second term at x-power j+e
                 j, e = terms[1]
-                printed = rhs[:1] + [al_xq(0, n, j + e, j - n * e)]
-                lhs_sum, printed_sum, corrected_sum = sides(lhs, printed, rhs)
+                printed = rhs[:1] + [term("alpha", 0, n, j + e, j - n * e, at_xq=True)]
+                lhs_sum, printed_sum, corrected_sum = _sums([lhs, printed, rhs], X, N)
                 printed_ok = _first_difference(lhs_sum, printed_sum) is None
                 corrected_diff = _first_difference(lhs_sum, corrected_sum)
                 sweep.instances += 1
@@ -732,6 +711,22 @@ def identification_grounded(k, a, d, s, flavor) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _companion_terms(a: int, d: int, s: int, reflected: bool) -> list[tuple[int, int, int]]:
+    """The companion combination (1 - q^(d-s)) F(a+s) + (q^e1 - q^e2) F(c) as
+    terms (sign, e, c), each standing for sign q^e F(c).  (e1, e2, c) is
+    (d-s, d, a+s-d) for the shifted argument and (a+s, a, d-a-s) for the
+    reflected one.
+
+    F is the congruence-side series in the companion identities, and the
+    triple product or the bilateral theta sum in the x = 1 product forms.
+    Terms at index c = 0 are left out: the triple product and the theta sum
+    vanish there, and the identities at d = a+s have no such term.
+    """
+    e1, e2, c = (a + s, a, d - a - s) if reflected else (d - s, d, a + s - d)
+    terms = [(1, 0, a + s), (-1, d - s, a + s), (1, e1, c), (-1, e2, c)]
+    return [term for term in terms if term[2] != 0]
+
+
 def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSeries]]:
     """Product combinations equal to the x = 1 specialization.
 
@@ -741,58 +736,55 @@ def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSe
     form is a univariate (x_order 0) BiSeries so that parameter tuples whose
     specialization is a Laurent series are representable.
 
-    Each form is (q^e1 - q^e2) P1 + (1 - q^(d-s)) P2 over (1 - q^d)(q; q)_inf,
-    times (-q; q)_inf over, with P1, P2 triple products (displayed forms) or
-    theta sums.  It is computed on packed rows (the _packing row kernel) on
-    one window [off, N] of L slots shared by every form: each P row is
-    packed once, a numerator is four shift-adds, divide_unit divides it by
-    1 - q^d, and one multiply by the packed p(n) (p-bar(n) over) row
-    supplies the rest.  Every factor is a power series with constant term 1,
-    so the result is exact on the whole window.  The slot width comes from a
-    bound: a numerator is at most 2 (|P1| + |P2|), the division multiplies
-    that by (L-1)//d + 1, and the product by L times the largest count.
+    Each form is the combination of _companion_terms over (1 - q^d)(q; q)_inf,
+    times (-q; q)_inf over, with F the triple product (the displayed forms,
+    listed when a+s <= M) or the theta sum.  It is computed on packed rows
+    (the _packing row kernel) on one window [off, N] of L slots shared by
+    every form: each F row is packed once, a numerator is a shift-add per
+    term, divide_unit divides it by 1 - q^d, and one multiply by the packed
+    p(n) (p-bar(n) over) row supplies the rest.  Every factor is a power
+    series with constant term 1, so the result is exact on the whole window.
+    The slot width comes from a bound: a numerator is at most the sum of its
+    terms' largest coefficients, the division multiplies that by
+    (L-1)//d + 1, and the product by L times the largest count.
     """
     N = trunc_order
     M = modulus(k, d, flavor)
 
-    # P rows as (q-offset, coefficients)
-    def tp(c: int) -> Optional[tuple]:
-        if c == 0:
-            return 0, ()
-        if 1 <= c <= M:
-            return 0, triple_product(c, M, N).coeffs
-        return None
+    # F rows as (q-offset, coefficients)
+    def tp(c: int) -> tuple:
+        return 0, triple_product(c, M, N).coeffs
 
     def theta(c: int) -> tuple:
         t = theta_laurent(c, M, N)
         return t.q_offset, t.rows[0]
 
-    # (label, e1, e2, P1, P2)
+    # (label, row builder, terms)
     specs = []
-    second = tp(a + s)
-    if a + s - d >= 0 and second is not None:
-        specs.append(("shifted-argument form", d - s, d, tp(a + s - d), second))
-    if d - a - s >= 0 and second is not None:
-        specs.append(("reflected-argument form", a + s, a, tp(d - a - s), second))
+    if a + s <= M:
+        if a + s >= d:
+            specs.append(("shifted-argument form", tp, _companion_terms(a, d, s, False)))
+        if a + s <= d:
+            specs.append(("reflected-argument form", tp, _companion_terms(a, d, s, True)))
     # bilateral-theta combination, valid for every parameter tuple
-    specs.append(("bilateral-theta form", d - s, d, theta(a + s - d), theta(a + s)))
+    specs.append(("bilateral-theta form", theta, _companion_terms(a, d, s, False)))
 
-    rows = {id(p): p for spec in specs for p in spec[3:]}  # second is shared
+    keys = dict.fromkeys((build, c) for _, build, terms in specs for _, _, c in terms)
+    rows = {(build, c): build(c) for build, c in keys}
     off = min(q_off for q_off, _ in rows.values())
     L = N - off + 1
     counts = partition_counts(flavor, L - 1)[:L]
-    top = {i: max(map(abs, row), default=0) for i, (_, row) in rows.items()}
-    numerator = max(2 * (top[id(p1)] + top[id(p2)]) for *_, p1, p2 in specs)
+    top = {key: max(map(abs, row), default=0) for key, (_, row) in rows.items()}
+    numerator = max(sum(top[build, c] for _, _, c in terms) for _, build, terms in specs)
     B = _packing.slot_width(numerator * ((L - 1) // d + 1) * L * max(counts))
-    packed = {i: _packing.pack([row], L, B) << (q - off) * B for i, (q, row) in rows.items()}
+    packed = {key: _packing.pack([row], L, B) << (q - off) * B for key, (q, row) in rows.items()}
     quotient = _packing.pack([counts], L, B)
     mask = (1 << (L * B)) - 1
     forms: list[tuple[str, BiSeries]] = []
-    for label, e1, e2, p1, p2 in specs:
-        u, v = packed[id(p1)], packed[id(p2)]
-        num = ((u << (e1 * B)) - (u << (e2 * B)) + v - (v << ((d - s) * B))) & mask
+    for label, build, terms in specs:
+        num = sum(sign * (packed[build, c] << (e * B)) for sign, e, c in terms) & mask
         value = _packing.divide_unit(num, d, L, B) * quotient & mask
-        start = min(p1[0], p2[0])
+        start = min(rows[build, c][0] for _, _, c in terms)
         row = _packing.read_slots(value, L, B)[start - off :]
         forms.append((label, BiSeries([row], 0, N, start)))
     return forms

@@ -8,7 +8,8 @@ Check families (referenced by these ids on the command line and in reports):
 * summand-eqs     - the eight alpha/beta recurrence displays
 * gf-match        - constructed series vs enumerative generating function
 * product-eval    - x = 1 specialization vs triple-product combinations
-* identities      - the main counter identities over the six shape arms
+* identities      - the main counter identities: plain equality (s = 0) and
+                    the three companion arms (d <, =, > a+s)
 * closure         - synthetic summary: gf-match pass must imply identities pass
 
 A report is pass/fail/skipped; a skip always carries the violated
@@ -256,22 +257,19 @@ def check_product_eval(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _cong_values(k, d, c, flavor, n_max) -> tuple[list[int], bool]:
-    series, special = counting.cached_congruence_series(k, d, c, flavor, n_max)
-    return list(series.coeffs[: n_max + 1]), special
-
-
 def check_main_identity(
     k, a, d, s, flavor, n_max, alt_condition: bool = False
 ) -> CheckReport:
     """One tuple of the main counter identities, with verbatim conditions.
 
     s = 0: plain equality of the congruence-side and multiplicity-side
-    counters.  s != 0: the applicable companion shape, selected by comparing
-    d with a + s.  The stated side condition is evaluated verbatim as
-    2(a+s) != 2k+2+d; --alt-condition switches to the exceptional-product
-    guard 2(a+s) != 2k+2-d.  Tuples failing any stated condition are
-    skipped, never silently passed.
+    counters.  s != 0: the companion shape selected by comparing d with
+    a + s, whose congruence side is gseries._companion_terms (shifted
+    argument, reflected when d > a+s) against b(n) - b(n-d).  The stated
+    side condition is evaluated verbatim as 2(a+s) != 2k+2+d;
+    --alt-condition switches to the exceptional-product guard
+    2(a+s) != 2k+2-d.  Tuples failing any stated condition are skipped,
+    never silently passed.
     """
     params = _tuple_params(k, a, d, s, flavor, None, n_max)
     notes = [f"side condition evaluated: {'corrected' if alt_condition else 'verbatim'}"]
@@ -289,48 +287,31 @@ def check_main_identity(
                 reason=f"2(a+s) = {2 * (a + s)} hits the excluded value {guard}",
             )
 
+    def side(terms):
+        """The sum of sign q^e row over the (sign, e, row) terms, through q^n_max."""
+        total = [0] * (n_max + 1)
+        for sign, e, row in terms:
+            total[e:] = [t + sign * v for t, v in zip(total[e:], row)]
+        return total
+
     def run():
-        cp = CountParams(k, a, d, s, flavor)
-        b = counting.count_mult_totals(cp, n_max)
-
-        def bval(n):
-            return b[n] if n >= 0 else 0
-
-        special_used = []
-
-        def cong(c):
-            vals, special = _cong_values(k, d, c, flavor, n_max)
+        b = counting.count_mult_totals(CountParams(k, a, d, s, flavor), n_max)
+        if s == 0:
+            shape, lhs_terms, rhs_terms = "plain equality", [(1, 0, a)], [(1, 0, b)]
+        else:
+            relation = "<" if d < a + s else "=" if d == a + s else ">"
+            shape = f"companion, d {relation} a+s"
+            lhs_terms = gseries._companion_terms(a, d, s, reflected=d > a + s)
+            rhs_terms = [(1, 0, b), (-1, d, b)]
+        rows, special_used = {}, []
+        for c in dict.fromkeys(c for _, _, c in lhs_terms):
+            series, special = counting.cached_congruence_series(k, d, c, flavor, n_max)
+            rows[c] = series.coeffs[: n_max + 1]
             if special:
                 special_used.append(c)
-
-            def at(n):
-                return vals[n] if n >= 0 else 0
-
-            return at
-
-        if s == 0:
-            a_at = cong(a)
-            shape = "plain equality"
-            lhs = lambda n: a_at(n)
-            rhs = lambda n: bval(n)
-        else:
-            hi = cong(a + s)
-            if d < a + s:
-                lo = cong(a + s - d)
-                shape = "companion, d < a+s"
-                lhs = lambda n: (
-                    hi(n) - hi(n - (d - s)) + lo(n - (d - s)) - lo(n - d)
-                )
-            elif d == a + s:
-                shape = "companion, d = a+s"
-                lhs = lambda n: hi(n) - hi(n - (d - s))
-            else:
-                lo = cong(d - a - s)
-                shape = "companion, d > a+s"
-                lhs = lambda n: hi(n) - hi(n - (d - s)) + lo(n - (a + s)) - lo(n - a)
-            rhs = lambda n: bval(n) - bval(n - d)
-        for n in range(n_max + 1):
-            left, right = lhs(n), rhs(n)
+        lhs = side((sign, e, rows[c]) for sign, e, c in lhs_terms)
+        rhs = side(rhs_terms)
+        for n, (left, right) in enumerate(zip(lhs, rhs)):
             if left != right:
                 return shape, special_used, (None, n, left, right)
         return shape, special_used, None
@@ -473,7 +454,9 @@ def _end_group() -> None:
 
 
 def run_suite(
-    config: SuiteConfig, on_report: Optional[Callable[[CheckReport], None]] = None
+    config: SuiteConfig,
+    on_report: Optional[Callable[[CheckReport], None]] = None,
+    csv_dir=None,
 ) -> list[CheckReport]:
     """Run the configured checks and return their reports in the canonical
     order (_sort_key), with closure last.
@@ -484,6 +467,10 @@ def run_suite(
     group's reports are done.  on_report, if given, is called with each
     report as soon as it is computed, in that run order, and last with
     closure; the list returned is the same with or without it.
+
+    With csv_dir, each tuple's counter table (counts_<stem>.csv) and
+    constructed-series coefficients (series_<stem>.csv) are written there
+    after its group's checks, while the group's memos are still held.
     """
     reports: list[CheckReport] = []
 
@@ -493,6 +480,9 @@ def run_suite(
             on_report(report)
 
     X, N = config.x_order, config.trunc_order
+    if csv_dir is not None:
+        csv_dir = Path(csv_dir)
+        csv_dir.mkdir(parents=True, exist_ok=True)
     per_tuple = {
         "recurrences": lambda *t: check_recurrences(CountParams(*t), N, N),
         "gf-consistency": lambda *t: check_gf_consistency(*t, X, N),
@@ -508,6 +498,14 @@ def run_suite(
             else:
                 for t in group:
                     add(per_tuple[check_id](*t))
+        if csv_dir is not None:
+            for k, a, d, s, flavor in group:
+                stem = f"k{k}_a{a}_d{d}_s{s}_{flavor}"
+                with open(csv_dir / f"counts_{stem}.csv", "w", newline="") as fh:
+                    counting.write_count_table_csv(fh, CountParams(k, a, d, s, flavor), N, N)
+                g = gseries.constructed_gf(k, a, d, s, flavor, X, N, require_ordinary=False)
+                with open(csv_dir / f"series_{stem}.csv", "w", newline="") as fh:
+                    write_coefficients_csv(fh, g)
         _end_group()
     reports.sort(key=_sort_key)
     if "gf-match" in config.checks and "identities" in config.checks:
@@ -557,29 +555,3 @@ def reports_to_json(reports: list[CheckReport], include_runtime: bool = True) ->
     return json.dumps(
         [r.to_dict(include_runtime) for r in reports], indent=2, sort_keys=False
     )
-
-
-def export_csv_tables(directory, config: SuiteConfig) -> list[str]:
-    """Write counter tables and constructed-series coefficient tables, group
-    by group (_groups), emptying the group-keyed memos as each group ends."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for group in _groups(config):
-        for k, a, d, s, flavor in group:
-            stem = f"k{k}_a{a}_d{d}_s{s}_{flavor}"
-            counts_path = directory / f"counts_{stem}.csv"
-            with open(counts_path, "w", newline="") as fh:
-                counting.write_count_table_csv(
-                    fh, CountParams(k, a, d, s, flavor), config.trunc_order, config.trunc_order
-                )
-            written.append(str(counts_path))
-            series_path = directory / f"series_{stem}.csv"
-            g = gseries.constructed_gf(
-                k, a, d, s, flavor, config.x_order, config.trunc_order, require_ordinary=False
-            )
-            with open(series_path, "w", newline="") as fh:
-                write_coefficients_csv(fh, g)
-            written.append(str(series_path))
-        _end_group()
-    return written

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import sys
 import threading
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from qgordon import counting, gseries, harness
 from qgordon.counting import OVER, REGULAR, CountParams
+from qgordon.series import theta_laurent
 from qgordon.harness import (
     CHECK_IDS,
     CheckReport,
@@ -23,7 +25,6 @@ from qgordon.harness import (
     check_summand_equations,
     closure_report,
     exit_code,
-    export_csv_tables,
     reports_to_json,
     run_suite,
 )
@@ -105,6 +106,52 @@ def test_over_companion_fails_exactly_on_escape_family():
             report = check_main_identity(k, a, 2, 1, OVER, 14)
             want = "fail" if a + 1 > k else "pass"
             assert report.status == want, (k, a, report)
+
+
+def hand_written_arm(a, d, s, rows, n):
+    """The companion left-hand side at n, written out arm by arm, with F_c
+    the row rows[c] and F_c(n) = 0 for n < 0: the oracle for
+    gseries._companion_terms."""
+
+    def at(c, m):
+        return rows[c][m] if m >= 0 else 0
+
+    hi = a + s
+    if d < a + s:
+        lo = a + s - d
+        return at(hi, n) - at(hi, n - (d - s)) + at(lo, n - (d - s)) - at(lo, n - d)
+    if d == a + s:
+        return at(hi, n) - at(hi, n - (d - s))
+    lo = d - a - s
+    return at(hi, n) - at(hi, n - (d - s)) + at(lo, n - (a + s)) - at(lo, n - a)
+
+
+def test_companion_terms_match_the_hand_written_arms():
+    rng = random.Random(24)
+    n_max = 30
+    for k in range(2, 9):
+        for d in range(2, k + 1):
+            rows = {c: [rng.randint(-99, 99) for _ in range(n_max + 1)] for c in range(1, k + d)}
+            for s in range(1, d):
+                for a in range(1, k + 1):
+                    terms = gseries._companion_terms(a, d, s, reflected=d > a + s)
+                    for n in range(n_max + 1):
+                        got = sum(sign * rows[c][n - e] for sign, e, c in terms if e <= n)
+                        assert got == hand_written_arm(a, d, s, rows, n), (k, a, d, s, n)
+
+
+def test_companion_terms_leave_out_index_zero():
+    # the theta sum at index 0 is zero, at q-offset 0, so leaving its terms
+    # out changes neither a form nor the window of the forms
+    for M in range(1, 13):
+        theta = theta_laurent(0, M, 40)
+        assert theta.is_zero() and theta.q_offset == 0, M
+    # at a+s = d the two arguments agree once the index-0 terms are gone
+    for d in range(1, 9):
+        for s in range(d):
+            shifted = gseries._companion_terms(d - s, d, s, reflected=False)
+            assert shifted == gseries._companion_terms(d - s, d, s, reflected=True)
+            assert shifted == [(1, 0, d), (-1, d - s, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +307,13 @@ def test_canonical_reports_are_pinned():
         x_order=10,
     )
     assert _digest(summand_eqs) == "70a3df254de8add9"
+    # the identities over k 2..8 and d 1..8, the one pinned grid that reaches
+    # the reflected arm (d > a+s), under both side conditions
+    identities_k8 = SuiteConfig(
+        checks=("identities",), ks=tuple(range(2, 9)), ds=tuple(range(1, 9)), trunc_order=40
+    )
+    assert _digest(identities_k8) == "fb4edd189018f314"
+    assert _digest(identities_k8._replace(alt_condition=True)) == "4a9909f885d68229"
 
 
 def group_memos() -> dict:
@@ -404,7 +458,8 @@ def test_config_rejects_product_eval_below_x_order():
 
 def test_csv_export(tmp_path):
     config = small_config(checks=("identities",), ks=(2,), ds=(1,), flavors=(REGULAR,))
-    files = export_csv_tables(tmp_path, config)
+    run_suite(config, csv_dir=tmp_path)
+    files = sorted(tmp_path.iterdir())
     assert len(files) == 2 * 2  # two tuples (a = 1, 2), counts + series each
     for name in files:
         with open(name) as fh:
@@ -423,7 +478,8 @@ def test_csv_export_empties_the_group_memos_in_place(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_end_group", spy_end_group)
     config = small_config(ks=(2, 3), trunc_order=12, x_order=4)
-    files = export_csv_tables(tmp_path, config)
+    run_suite(config, csv_dir=tmp_path)
+    files = list(tmp_path.iterdir())
     assert len(files) == 2 * len(list(harness._grid(config)))
     assert held == [1] * 8  # one per (flavor, k, d) group, each holding its own
     after = group_memos()
