@@ -34,11 +34,12 @@ summands are shift-added into one packed row per x-power (_sum_terms), at
 the width of the total of their bounds.  The summand displays and the
 functional equation compare their two sides as packed ints and read
 coefficients back only to locate a mismatch; summand_series and
-constructed_gf return BiSeries read back from the packed rows.  The x = 1
-specialization sums the packed x-rows into one row, and the x = 1 product
-forms are packed rows too: a numerator of shift-adds, divided by 1 - q^d and
-multiplied once by the held p(n) row (counting.partition_counts), so no
-series is inverted.
+constructed_gf return BiSeries read back from the packed rows.  Each
+tuple's constructed sum is summed once and held at the deepest truncation
+asked for; the x = 1 specialization is sum_x_rows of it, read back through
+the comparison bound.  The x = 1 product forms are packed rows: a numerator
+of shift-adds, divided by 1 - q^d and multiplied once by the held p(n) row
+(counting.partition_counts), so no series is inverted.
 
 Pure functions + memo dicts under counting._deepest: safe for concurrent
 use; a memo that a concurrent run empties (harness) costs a rebuild.
@@ -60,9 +61,17 @@ from .counting import (
     modulus,
     partition_counts,
 )
-from .series import BiSeries, DomainError, TruncationMismatch, theta_laurent, triple_product
+from .series import (
+    BiSeries,
+    DomainError,
+    TruncationMismatch,
+    sum_x_rows,
+    theta_laurent,
+    triple_product,
+)
 
 _summand_cache: dict = {}
+_constructed_cache: dict = {}
 
 
 class _Packed(NamedTuple):
@@ -388,17 +397,25 @@ def constructed_gf(
     survive (e.g. k=4, a=4, d=4, s=3 keeps an x q^(-1) term), so checkers
     that sweep all tuples pass require_ordinary=False and work with the
     Laurent object directly.
+
+    Memo policy (counting._deepest): one packed sum (_sum_terms of the
+    _span_terms) per tuple and x_order, held in _constructed_cache at the
+    deepest truncation asked for; gf-match, product-eval and the CSV export
+    all read it.  The series is read back at exactly trunc_order.  A deeper
+    sum read at trunc_order >= 0 is the sum built there: the terms only it
+    holds start above trunc_order, so they change no coefficient read and
+    no q-offset (which is at most 0).
     """
-    terms = _constructed_terms(k, a, d, s, flavor, x_order, trunc_order)
-    span = _sum_terms(terms, x_order, trunc_order).series()
-    return span.as_ordinary() if require_ordinary else span
-
-
-def _constructed_terms(k, a, d, s, flavor, x_order, trunc_order):
-    """The _sum_terms terms of constructed_gf."""
     if a < 0:
         raise DomainError("constructed_gf needs a >= 0")
-    return _span_terms(k, d, s, a, flavor, x_order, trunc_order, False, 0, 0)
+
+    def build(N):
+        return _sum_terms(_span_terms(k, d, s, a, flavor, x_order, N, False, 0, 0), x_order, N)
+
+    key = (k, a, d, s, flavor, x_order)
+    held = _deepest(_constructed_cache, key, (trunc_order,), lambda f: (f.trunc_order,), build)
+    span = held.series(trunc_order)
+    return span.as_ordinary() if require_ordinary else span
 
 
 def enumerated_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
@@ -827,50 +844,29 @@ class XOneCheck(_Record):
         return all(r[1] for r in self.results)
 
 
-def _x_one_row(k, a, d, s, flavor, x_order, trunc_order) -> tuple[BiSeries, bool]:
-    """The x = 1 specialization of constructed_gf(..., require_ordinary=False)
-    (sum_x_rows of it) and whether that series is ordinary.
-
-    The summand terms are summed packed (_sum_terms) at the width of
-    x_order + 1 times their bound, so that adding the x-rows of the sum as
-    ints gives the packed x = 1 row.  The series is ordinary when every
-    row's slots below q^0 are zero bits.
-    """
-    X, N = x_order, trunc_order
-    terms = _constructed_terms(k, a, d, s, flavor, X, N)
-    bound = (X + 1) * sum(f.bound for f, *_ in terms)
-    span = _sum_terms(terms, X, N, _packing.slot_width(bound))
-    B, off = span.bits, span.q_offset
-    below = (1 << (-off * B)) - 1
-    ordinary = not any(r & below for r in span.rows)
-    n_slots = N - off + 1
-    row = sum(span.rows) & ((1 << (n_slots * B)) - 1)
-    return BiSeries([_packing.read_slots(row, n_slots, B)], 0, N, off), ordinary
-
-
 def x_one_check(k, a, d, s, flavor, x_order, trunc_order) -> XOneCheck:
     """Evaluate the construction at x = 1 and compare with every form.
 
     The comparison window is capped at the tuple's provable exactness bound,
-    and both sides are built through q^bound only (q^0 if it is negative):
-    nothing past it is compared.  The specialization itself is formed in
-    Laurent space so that every parameter tuple (ordinary or not) is
-    checkable; the terms a shallower sum leaves out start above q^0, so its
-    negative powers, and hence the ordinary flag, are those of the full sum.
+    and both sides are read through q^bound only (q^0 if it is negative):
+    nothing past it is compared.  The construction is constructed_gf at
+    that truncation, read from the sum gf-match held if it built a deeper
+    one, and specialized by sum_x_rows in Laurent space, so that every
+    parameter tuple (ordinary or not) is checkable; the terms a shallower
+    sum leaves out start above q^0, so its negative powers, and hence the
+    ordinary flag, are those of the full sum.
     """
     bound = x_one_exact_bound(k, a, d, s, flavor, x_order, trunc_order)
     top = max(bound, 0)
-    ev, ordinary = _x_one_row(k, a, d, s, flavor, x_order, top)
+    g = constructed_gf(k, a, d, s, flavor, x_order, top, require_ordinary=False)
+    ev = sum_x_rows(g)
     idc, _ = identification_conditions(k, a, d, s, flavor)
     grounded = identification_grounded(k, a, d, s, flavor)
     results = []
     for label, form in x_one_product_forms(k, a, d, s, flavor, top):
-        if bound < 0:
-            results.append((label, False, ("bound", bound, None, None)))
-            continue
-        diff = ev.first_difference(form)
+        diff = ev.first_difference(form) if bound >= 0 else ("bound", bound, None, None)
         results.append((label, diff is None, diff))
-    return XOneCheck(bound, idc and grounded, ordinary, results)
+    return XOneCheck(bound, idc and grounded, g.is_ordinary(), results)
 
 
 def bridging_identity_holds(d: int, s: int, a: int) -> bool:

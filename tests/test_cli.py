@@ -5,9 +5,11 @@ import os
 import select
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgordon import cli, harness
 from qgordon.cli import main, parse_checks, parse_range, render_line
@@ -301,6 +303,41 @@ def test_run_suite_callback_sees_every_report_and_changes_nothing():
     assert canonical(with_callback) == canonical(run_suite(config))
     assert seen[-1] is with_callback[-1] and seen[-1].check_id == "closure"
     assert sorted(map(id, seen)) == sorted(map(id, with_callback))
+
+
+@st.composite
+def small_runs(draw):
+    """The arguments of a small qgordon-verify run: k <= 3, N <= 12, X <= 4,
+    any subset of the checks (product-eval only with N >= X)."""
+    checks = draw(st.lists(st.sampled_from(CHECK_IDS), unique=True))
+    k_lo = draw(st.integers(2, 3))
+    k_hi = draw(st.integers(k_lo, 3))
+    d_hi = draw(st.integers(1, k_hi))
+    x_order = draw(st.integers(1, 4))
+    trunc_order = draw(st.integers(x_order if "product-eval" in checks else 1, 12))
+    argv = ["--checks", ",".join(checks), "--k", f"{k_lo}..{k_hi}", "--d", f"1..{d_hi}"]
+    argv += ["--flavor", draw(st.sampled_from(("regular", "over", "both")))]
+    argv += ["--trunc-n", str(trunc_order), "--trunc-x", str(x_order)]
+    return argv + (["--alt-condition"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_runs())
+def test_cli_round_trip(argv):
+    # two runs write the same --out once runtime_ms is dropped, and each
+    # exits 1 exactly when some report fails
+    written, codes = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in range(2):
+            out = Path(tmp) / f"run{run}.json"
+            codes.append(main(argv + ["--out", str(out)]))
+            reports = json.loads(out.read_text())
+            for r in reports:
+                del r["runtime_ms"]
+            written.append([list(r.items()) for r in reports])
+    assert written[0] == written[1]
+    failed = any(("status", "fail") in r for r in written[0])
+    assert codes == [int(failed)] * 2
 
 
 def test_cli_closed_stdout_still_finishes_the_run(tmp_path):

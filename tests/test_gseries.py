@@ -1,9 +1,9 @@
 """The constructed series: initial conditions, recurrences, identifications."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qgordon import _packing, gseries
+from qgordon import _packing, gseries, harness
 from qgordon.counting import OVER, REGULAR, CountParams, count_mult
 from qgordon.harness import SuiteConfig, run_suite
 from qgordon.gseries import (
@@ -667,37 +667,84 @@ def test_x_one_check_laurent_tuples():
         assert chk.ok, chk.results
 
 
+def assert_held_read_matches_cold(tup, X, N, shallow):
+    """gf-match holds the sum at (X, N); x_one_check at the shallower
+    truncation reads it through its own bound, and must match a cold build
+    in the specialization, the ordinary flag and the results."""
+    harness._end_group()
+    constructed_gf(*tup, X + 1, N, require_ordinary=False)  # held, and not read at X
+    deep = constructed_gf(*tup, X, N, require_ordinary=False)
+    warm = x_one_check(*tup, X, shallow)
+    top = max(warm.bound, 0)  # <= shallow <= N
+    warm_g = constructed_gf(*tup, X, top, require_ordinary=False)
+    harness._end_group()
+    cold = x_one_check(*tup, X, shallow)
+    cold_g = constructed_gf(*tup, X, top, require_ordinary=False)
+    harness._end_group()
+    assert warm == cold
+    assert warm.ordinary == cold_g.is_ordinary()
+    assert sum_x_rows(warm_g) == sum_x_rows(cold_g)
+    assert warm_g.q_offset == cold_g.q_offset
+    # the held sum cut by BiSeries.truncated is the cold one too
+    assert deep.truncated(top) == cold_g
+    assert deep.truncated(top).q_offset == cold_g.q_offset
+
+
+@st.composite
+def held_truncations(draw):
+    """x_order, a truncation N and a shallower one, which may be 0."""
+    trunc_order = draw(st.integers(0, 40))
+    return draw(st.integers(0, 8)), trunc_order, draw(st.integers(0, trunc_order))
+
+
 @pytest.mark.parametrize(
     "k, a, d, s, flavor",
     [(4, 4, 4, 3, REGULAR), (3, 3, 3, 2, OVER), (3, 2, 2, 1, REGULAR), (4, 1, 3, 2, OVER)],
 )
-def test_packed_specialization_matches_bivariate(k, a, d, s, flavor):
-    for x_order, trunc_order in ((8, 30), (10, 40), (3, 0)):
-        got, ordinary = gseries._x_one_row(k, a, d, s, flavor, x_order, trunc_order)
-        g = constructed_gf(k, a, d, s, flavor, x_order, trunc_order, require_ordinary=False)
-        assert got == sum_x_rows(g)
-        assert got.q_offset == g.q_offset
-        assert ordinary == g.is_ordinary()
+@settings(max_examples=20, deadline=None)
+@given(held_truncations())
+@example((3, 0, 0))
+def test_packed_specialization_matches_bivariate(k, a, d, s, flavor, truncations):
+    # two Laurent tuples (see test_x_one_check_laurent_tuples) and two ordinary ones
+    assert_held_read_matches_cold((k, a, d, s, flavor), *truncations)
+
+
+@st.composite
+def x_one_tuples(draw):
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(1, k))
+    flavor = draw(st.sampled_from((REGULAR, OVER)))
+    return k, draw(st.integers(1, k)), d, draw(st.integers(0, d - 1)), flavor
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_one_tuples(), held_truncations())
+def test_x_one_check_reads_a_deeper_held_sum(tup, truncations):
+    assert_held_read_matches_cold(tup, *truncations)
 
 
 def test_x_one_ordinary_flag_reads_every_row(monkeypatch):
     # q^-1 - x q^-1 vanishes at x = 1 but is not ordinary
     f = gseries._Packed([1, 0, 0], 2, 10, -1, 64, 1)
     terms = [(f, 1, 0, 0, False), (f, -1, 1, 0, False)]
-    monkeypatch.setattr(gseries, "_constructed_terms", lambda *args: terms)
-    row, ordinary = gseries._x_one_row(2, 1, 1, 0, REGULAR, 2, 10)
+    monkeypatch.setattr(gseries, "_constructed_cache", {})
+    monkeypatch.setattr(gseries, "_span_terms", lambda *args: terms)
+    row = sum_x_rows(constructed_gf(2, 1, 1, 0, REGULAR, 2, 10, require_ordinary=False))
     assert row.is_zero() and row.q_offset == -1
-    assert not ordinary
+    assert not x_one_check(2, 1, 1, 0, REGULAR, 2, 10).ordinary
 
 
-def test_x_one_check_builds_no_bivariate_series(monkeypatch):
-    def no_gf(*args, **kwargs):
-        raise AssertionError("x_one_check read back a bivariate series")
+def test_x_one_check_shares_the_gf_match_sum(monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("x_one_check summed the summand terms again")
 
-    monkeypatch.setattr(gseries, "constructed_gf", no_gf)
-    monkeypatch.setattr(gseries._Packed, "series", no_gf)
-    for k, a, d, s, flavor in ((4, 4, 4, 3, REGULAR), (3, 2, 2, 1, REGULAR), (3, 3, 1, 0, OVER)):
-        assert x_one_check(k, a, d, s, flavor, 8, 30).ok
+    monkeypatch.setattr(gseries, "_constructed_cache", {})
+    tuples = ((4, 4, 4, 3, REGULAR), (3, 2, 2, 1, REGULAR), (3, 3, 1, 0, OVER))
+    for t in tuples:
+        constructed_gf(*t, 8, 30, require_ordinary=False)
+    monkeypatch.setattr(gseries, "_sum_terms", no_sum)
+    for t in tuples:
+        assert x_one_check(*t, 8, 30).ok
 
 
 def reference_x_one_product_forms(k, a, d, s, flavor, trunc_order):

@@ -319,6 +319,7 @@ def test_canonical_reports_are_pinned():
 def group_memos() -> dict:
     return {
         "summand": gseries._summand_cache,
+        "constructed": gseries._constructed_cache,
         "recurrence": gseries._recurrence_cache,
         "table": counting._table_cache,
         "totals": counting._totals_cache,
