@@ -294,6 +294,8 @@ def test_canonical_reports_are_pinned():
         x_order=10,
     )
     assert _digest(x_one_grid) == "3993047fb61b9e94"
+    # product-eval alone, which builds each constructed sum itself at its bound
+    assert _digest(x_one_grid._replace(checks=("product-eval",))) == "0a9afc89e6e3ebf1"
     # all-mid: every check over 18 (flavor, k, d) groups
     all_mid = SuiteConfig(ks=(2, 3, 4), ds=(1, 2, 3, 4), trunc_order=60, x_order=16)
     assert _digest(all_mid) == "cb1e22239515f302"
