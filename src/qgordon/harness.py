@@ -22,6 +22,10 @@ each configured check over the group's tuples.  It can hand every report to
 a callback as soon as it is computed, in that run order; the list it returns
 is sorted into the canonical order, with closure appended last.  Every memo
 keyed by a group lives until that group's reports are done (_end_group).
+run_suite also takes each report's runtime_ms, once, around the driver call
+that makes it (skipped reports included), in whole milliseconds rounded
+down.  The drivers read no clock, so a driver called directly reports 0,
+and so does closure.
 The record types are NamedTuples (frozen, equal to the plain tuple of their
 fields), so that importing the package needs no dataclasses.
 """
@@ -29,8 +33,8 @@ fields), so that importing the package needs no dataclasses.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import counting, gseries
@@ -119,19 +123,12 @@ def _mismatch(m, n, lhs, rhs) -> dict:
     return {"m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, int((time.perf_counter() - start) * 1000)
-
-
-def _verdict(check_id, params, diff, notes=(), runtime_ms=0) -> CheckReport:
+def _verdict(check_id, params, diff, notes=()) -> CheckReport:
     """A pass report if diff is None, else a fail at diff = (m, n, lhs, rhs)."""
     if diff is None:
-        return CheckReport(check_id, params, "pass", notes=tuple(notes), runtime_ms=runtime_ms)
+        return CheckReport(check_id, params, "pass", notes=tuple(notes))
     return CheckReport(
-        check_id, params, "fail", first_mismatch=_mismatch(*diff), notes=tuple(notes),
-        runtime_ms=runtime_ms,
+        check_id, params, "fail", first_mismatch=_mismatch(*diff), notes=tuple(notes)
     )
 
 
@@ -143,33 +140,22 @@ def _verdict(check_id, params, diff, notes=(), runtime_ms=0) -> CheckReport:
 def check_recurrences(cp: CountParams, m_max: int, n_max: int) -> CheckReport:
     """Counter recurrence over a (parts, weight) box, both sides enumerated."""
     params = _tuple_params(cp.k, cp.a, cp.d, cp.s, cp.flavor, None, n_max)
-    outcome, ms = _timed(lambda: counting.verify_recurrence(cp, m_max, n_max))
+    outcome = counting.verify_recurrence(cp, m_max, n_max)
     notes = ("negative lower index extended by zero",) if outcome.extension_used else ()
-    return _verdict("recurrences", params, outcome.first_mismatch, notes, ms)
+    return _verdict("recurrences", params, outcome.first_mismatch, notes)
 
 
 def check_gf_consistency(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
     """Functional-equation route against the enumeration route (always applies)."""
     params = _tuple_params(k, a, d, s, flavor, x_order, trunc_order)
-
-    def run():
-        rec = gseries.recurrence_gf(k, a, d, s, flavor, x_order, trunc_order)
-        enum = gseries.enumerated_gf(k, a, d, s, flavor, x_order, trunc_order)
-        return rec.first_difference(enum)
-
-    diff, ms = _timed(run)
-    return _verdict("gf-consistency", params, diff, runtime_ms=ms)
+    rec = gseries.recurrence_gf(k, a, d, s, flavor, x_order, trunc_order)
+    enum = gseries.enumerated_gf(k, a, d, s, flavor, x_order, trunc_order)
+    return _verdict("gf-consistency", params, rec.first_difference(enum))
 
 
-def check_summand_equations(
-    k, d, flavor, n_max, x_order, trunc_order=None
-) -> CheckReport:
+def check_summand_equations(k, d, flavor, n_max, x_order) -> CheckReport:
     """All summand recurrence displays for one (k, d, flavor)."""
-
-    def run():
-        return gseries.verify_summand_recurrences(k, d, flavor, n_max, x_order, trunc_order)
-
-    sweep, ms = _timed(run)
+    sweep = gseries.verify_summand_recurrences(k, d, flavor, n_max, x_order)
     params = {
         "k": k,
         "a": None,
@@ -188,10 +174,10 @@ def check_summand_equations(
             else "final display printed variant fails; corrected (q^-n base) variant holds"
         )
     if sweep.ok:
-        return _verdict("summand-eqs", params, None, notes, ms)
+        return _verdict("summand-eqs", params, None, notes)
     first = sweep.failures[0]
     notes.append(f"first failing display: {first.display} at s={first.s} a={first.a} n={first.n}")
-    return _verdict("summand-eqs", params, first.mismatch, notes, ms)
+    return _verdict("summand-eqs", params, first.mismatch, notes)
 
 
 def check_gf_match(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
@@ -206,34 +192,22 @@ def check_gf_match(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
             "functional-equation chain leaves the index range (a+s too large); "
             "identification expected to fail"
         )
-
-    def run():
-        g = gseries.constructed_gf(
-            k, a, d, s, flavor, x_order, trunc_order, require_ordinary=False
-        )
-        f = gseries.enumerated_gf(k, a, d, s, flavor, x_order, trunc_order)
-        r = gseries.recurrence_gf(k, a, d, s, flavor, x_order, trunc_order)
-        return g.first_difference(f), f.first_difference(r), g.is_ordinary()
-
-    (gf_diff, route_diff, ordinary), ms = _timed(run)
-    if not ordinary:
+    g = gseries.constructed_gf(k, a, d, s, flavor, x_order, trunc_order, require_ordinary=False)
+    f = gseries.enumerated_gf(k, a, d, s, flavor, x_order, trunc_order)
+    r = gseries.recurrence_gf(k, a, d, s, flavor, x_order, trunc_order)
+    if not g.is_ordinary():
         notes.append("constructed series has negative q-exponents at this tuple")
+    route_diff = f.first_difference(r)
     if route_diff is not None:
         notes = ["enumeration and functional-equation routes disagree"]
-        return _verdict("gf-match", params, route_diff, notes, ms)
-    return _verdict("gf-match", params, gf_diff, notes, ms)
+        return _verdict("gf-match", params, route_diff, notes)
+    return _verdict("gf-match", params, g.first_difference(f), notes)
 
 
 def check_product_eval(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
     """x = 1 specialization against every applicable product combination."""
     params = _tuple_params(k, a, d, s, flavor, x_order, trunc_order)
-
-    def run():
-        chk = gseries.x_one_check(k, a, d, s, flavor, x_order, trunc_order)
-        bridge = gseries.bridging_identity_holds(d, s, a)
-        return chk, bridge
-
-    (chk, bridge), ms = _timed(run)
+    chk = gseries.x_one_check(k, a, d, s, flavor, x_order, trunc_order)
     notes = [
         f"comparison bound: q^{chk.bound}",
         f"forms compared: {len(chk.results)}",
@@ -242,14 +216,14 @@ def check_product_eval(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
         notes.append("non-identified tuple: bound derived from summand exponents")
     if not chk.ordinary:
         notes.append("specialization compared in Laurent space")
-    if not bridge:
+    if not gseries.bridging_identity_holds(d, s, a):
         diff = (None, 0, "bridging identity", "mismatch")
-        return _verdict("product-eval", params, diff, notes, ms)
+        return _verdict("product-eval", params, diff, notes)
     for label, ok, diff in chk.results:
         if not ok:
             failing = notes + [f"failing form: {label}"]
-            return _verdict("product-eval", params, (None, *diff[1:]), failing, ms)
-    return _verdict("product-eval", params, None, notes, ms)
+            return _verdict("product-eval", params, (None, *diff[1:]), failing)
+    return _verdict("product-eval", params, None, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -294,33 +268,27 @@ def check_main_identity(
             total[e:] = [t + sign * v for t, v in zip(total[e:], row)]
         return total
 
-    def run():
-        b = counting.count_mult_totals(CountParams(k, a, d, s, flavor), n_max)
-        if s == 0:
-            shape, lhs_terms, rhs_terms = "plain equality", [(1, 0, a)], [(1, 0, b)]
-        else:
-            relation = "<" if d < a + s else "=" if d == a + s else ">"
-            shape = f"companion, d {relation} a+s"
-            lhs_terms = gseries._companion_terms(a, d, s, reflected=d > a + s)
-            rhs_terms = [(1, 0, b), (-1, d, b)]
-        rows, special_used = {}, []
-        for c in dict.fromkeys(c for _, _, c in lhs_terms):
-            series, special = counting.cached_congruence_series(k, d, c, flavor, n_max)
-            rows[c] = series.coeffs[: n_max + 1]
-            if special:
-                special_used.append(c)
-        lhs = side((sign, e, rows[c]) for sign, e, c in lhs_terms)
-        rhs = side(rhs_terms)
-        for n, (left, right) in enumerate(zip(lhs, rhs)):
-            if left != right:
-                return shape, special_used, (None, n, left, right)
-        return shape, special_used, None
-
-    (shape, special_used, mismatch), ms = _timed(run)
+    b = counting.count_mult_totals(CountParams(k, a, d, s, flavor), n_max)
+    if s == 0:
+        shape, lhs_terms, rhs_terms = "plain equality", [(1, 0, a)], [(1, 0, b)]
+    else:
+        relation = "<" if d < a + s else "=" if d == a + s else ">"
+        shape = f"companion, d {relation} a+s"
+        lhs_terms = gseries._companion_terms(a, d, s, reflected=d > a + s)
+        rhs_terms = [(1, 0, b), (-1, d, b)]
     notes.append(f"shape: {shape}")
-    for c in special_used:
-        notes.append(f"congruence counter at index {c} is product-defined (2c = modulus)")
-    return _verdict("identities", params, mismatch, notes, ms)
+    rows = {}
+    for c in dict.fromkeys(c for _, _, c in lhs_terms):
+        series, special = counting.cached_congruence_series(k, d, c, flavor, n_max)
+        rows[c] = series.coeffs[: n_max + 1]
+        if special:
+            notes.append(f"congruence counter at index {c} is product-defined (2c = modulus)")
+    lhs = side((sign, e, rows[c]) for sign, e, c in lhs_terms)
+    rhs = side(rhs_terms)
+    for n, (left, right) in enumerate(zip(lhs, rhs)):
+        if left != right:
+            return _verdict("identities", params, (None, n, left, right), notes)
+    return _verdict("identities", params, None, notes)
 
 
 def _tuple_params(k, a, d, s, flavor, x_order, trunc_order) -> dict:
@@ -464,10 +432,11 @@ def run_suite(
 
     The grid runs group by group (_groups), and within a group each
     configured check in CHECK_IDS order over the group's tuples; summand-eqs
-    makes one report per group.  The group-keyed memos are emptied when a
-    group's reports are done.  on_report, if given, is called with each
-    report as soon as it is computed, in that run order, and last with
-    closure; the list returned is the same with or without it.
+    makes one report per group.  Each driver call is timed here and its
+    report stamped with the whole milliseconds it took.  The group-keyed
+    memos are emptied when a group's reports are done.  on_report, if given,
+    is called with each report as soon as it is computed, in that run order,
+    and last with closure; the list returned is the same with or without it.
 
     With csv_dir, each tuple's counter table (counts_<stem>.csv) and
     constructed-series coefficients (series_<stem>.csv) are written there
@@ -484,21 +453,23 @@ def run_suite(
     if csv_dir is not None:
         csv_dir = Path(csv_dir)
         csv_dir.mkdir(parents=True, exist_ok=True)
-    per_tuple = {
+    drivers = {
         "recurrences": lambda *t: check_recurrences(CountParams(*t), N, N),
         "gf-consistency": lambda *t: check_gf_consistency(*t, X, N),
+        "summand-eqs": lambda k, a, d, s, flavor: check_summand_equations(
+            k, d, flavor, config.summand_n_max, min(X, 8)
+        ),
         "gf-match": lambda *t: check_gf_match(*t, X, N),
         "product-eval": lambda *t: check_product_eval(*t, X, N),
         "identities": lambda *t: check_main_identity(*t, N, config.alt_condition),
     }
     for group in _groups(config):
         for check_id in (c for c in CHECK_IDS if c in config.checks):
-            if check_id == "summand-eqs":
-                k, _, d, _, flavor = group[0]
-                add(check_summand_equations(k, d, flavor, config.summand_n_max, min(X, 8)))
-            else:
-                for t in group:
-                    add(per_tuple[check_id](*t))
+            # summand-eqs makes one report per group, from its first tuple
+            for t in group[:1] if check_id == "summand-eqs" else group:
+                start = perf_counter()
+                report = drivers[check_id](*t)
+                add(report._replace(runtime_ms=int((perf_counter() - start) * 1000)))
         if csv_dir is not None:
             for k, a, d, s, flavor in group:
                 stem = f"k{k}_a{a}_d{d}_s{s}_{flavor}"

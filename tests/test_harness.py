@@ -319,18 +319,22 @@ def test_canonical_reports_are_pinned():
 
 
 def group_memos() -> dict:
+    """Every module-level _*_cache dict of counting and gseries, by qualified
+    name, except the two memos shared across groups: a memo added later is
+    covered here without a line of its own."""
+    shared = {"_width_cache", "_mask_cache"}
     return {
-        "summand": gseries._summand_cache,
-        "constructed": gseries._constructed_cache,
-        "recurrence": gseries._recurrence_cache,
-        "table": counting._table_cache,
-        "totals": counting._totals_cache,
-        "cong": counting._cong_cache,
+        f"{module.__name__}.{name}": memo
+        for module in (counting, gseries)
+        for name, memo in vars(module).items()
+        if name.startswith("_") and name.endswith("_cache") and name not in shared
+        and isinstance(memo, dict)
     }
 
 
 def test_run_suite_empties_the_group_memos_in_place():
     before = group_memos()
+    assert before
     filled = set()
 
     def note_filled(report):
@@ -340,6 +344,31 @@ def test_run_suite_empties_the_group_memos_in_place():
     assert filled == set(before)  # every memo was in use during the run
     after = group_memos()
     assert all(after[name] is memo and memo == {} for name, memo in before.items())
+
+
+def test_run_suite_times_each_report_once(monkeypatch):
+    # a clock that steps 0.25 s per read: every report from a driver carries
+    # exactly one step, so it was timed once with no other read in between;
+    # skipped reports are timed too, and closure is not timed
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return len(reads) * 0.25
+
+    monkeypatch.setattr(harness, "perf_counter", clock)
+    config = small_config(ks=(3,), ds=(1, 3), trunc_order=8, x_order=4)
+    reports = run_suite(config)
+    timed = [r for r in reports if r.check_id != "closure"]
+    assert [r.runtime_ms for r in timed] == [250] * len(timed)
+    assert len(reads) == 2 * len(timed)
+    assert {r.check_id for r in timed} == set(CHECK_IDS)
+    assert any(r.status == "skipped" for r in timed)
+    assert [r.runtime_ms for r in reports if r.check_id == "closure"] == [0]
+    # a driver called directly reads no clock
+    skipped = check_gf_match(3, 2, 3, 1, REGULAR, 4, 8)
+    assert skipped.status == "skipped" and skipped.runtime_ms == 0
+    assert len(reads) == 2 * len(timed)
 
 
 def test_concurrent_runs_match_their_serial_reports():
