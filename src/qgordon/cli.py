@@ -12,7 +12,9 @@ stdout's reader goes away (`| head`), the run still finishes, writes --out
 and --csv-dir, and exits with its usual code.
 
 Exit codes: 0 all checks passed (or were skipped), 1 at least one check
-failed, 2 configuration error.
+failed, 2 configuration error.  The arguments are parsed and checked, and
+the outputs opened, before any numerical layer is imported: --help and a
+configuration error load only the config module.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .counting import OVER, REGULAR
-from .harness import (
-    CHECK_IDS,
-    ConfigError,
-    SuiteConfig,
-    _grid,
-    exit_code,
-    reports_to_json,
-    run_suite,
-)
+from .config import CHECK_IDS, OVER, REGULAR, ConfigError, SuiteConfig, _grid
 
 
 def parse_range(text: str, name: str, allow_all: bool = False):
@@ -170,7 +163,10 @@ def main(argv: Optional[list] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     with out or contextlib.nullcontext():
-        reports = run_suite(
+        # the numerical layers load only once the configuration is known to be good
+        from . import harness
+
+        reports = harness.run_suite(
             config,
             on_report=lambda report: _write_line(render_line(report)),
             csv_dir=args.csv_dir or None,
@@ -184,11 +180,11 @@ def main(argv: Optional[list] = None) -> int:
             f"{counts['skipped']} skipped"
         )
         if out is not None:
-            out.write(reports_to_json(reports) + "\n")
+            out.write(harness.reports_to_json(reports) + "\n")
     if args.csv_dir:
         # a counts and a series file per tuple of the grid
         _write_line(f"wrote {2 * len(list(_grid(config)))} CSV files to {args.csv_dir}")
-    return exit_code(reports)
+    return harness.exit_code(reports)
 
 
 if __name__ == "__main__":

@@ -40,10 +40,8 @@ import threading
 from typing import Iterator, NamedTuple, Optional
 
 from ._packing import read_slots
+from .config import OVER, REGULAR
 from .series import PowerSeries, DomainError, div_binomial, mul_binomial, triple_product
-
-REGULAR = "regular"
-OVER = "over"
 
 
 def modulus(k: int, d: int, flavor: str) -> int:

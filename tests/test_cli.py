@@ -138,7 +138,7 @@ def test_cli_unusable_output_path_is_config_error(tmp_path, capsys, monkeypatch)
     def no_run(config):
         raise AssertionError("the suite ran before its outputs were opened")
 
-    monkeypatch.setattr(cli, "run_suite", no_run)
+    monkeypatch.setattr(harness, "run_suite", no_run)
     plain = tmp_path / "plain.txt"
     plain.write_text("kept\n")
     grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "8"]
@@ -386,26 +386,78 @@ sys.exit(cli.main(sys.argv[1:]))
     assert len(list(csv_dir.iterdir())) == 2 * len(list(harness._grid(config)))
 
 
-@pytest.mark.parametrize(
-    "load",
-    [
-        "import qgordon.cli",
-        # python -m qgordon.cli --help
-        "import runpy; sys.argv = ['qgordon-verify', '--help']\n"
+LAYERS = {"qgordon.counting", "qgordon.gseries", "qgordon.series", "qgordon._packing"}
+
+
+def run_module_child(argv):
+    """Child code that runs python -m qgordon.cli ARGV."""
+    return (
+        f"import runpy; sys.argv = ['qgordon-verify', *{argv!r}]\n"
         "try: runpy.run_module('qgordon.cli', run_name='__main__')\n"
-        "except SystemExit: pass",
-    ],
-    ids=["import", "help"],
-)
-def test_cli_import_leaves_out_dataclasses_and_inspect(load):
-    # modules the interpreter loaded at start-up (a site hook, say) are not
-    # counted: only what the import adds
+        "except SystemExit as exc: print('exit', exc.code)"
+    )
+
+
+def added_modules(load):
+    """The modules that running `load` in a fresh child adds, and its stdout
+    before that list.  Modules the interpreter loaded at start-up (a site
+    hook, say) are not counted: only what `load` adds."""
     child = f"import sys\nbefore = set(sys.modules)\n{load}\n"
     child += "print(*sorted(set(sys.modules) - before))"
     run = subprocess.run(
         [sys.executable, "-c", child], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    added = set(run.stdout.splitlines()[-1].split())
-    assert "qgordon.harness" in added
+    *printed, added = run.stdout.splitlines()
+    return set(added.split()), printed, run.stderr
+
+
+@pytest.mark.parametrize(
+    "load, package",
+    [
+        ("import qgordon.cli", {"qgordon", "qgordon.config", "qgordon.cli"}),
+        # python -m qgordon.cli --help
+        (run_module_child(["--help"]), {"qgordon", "qgordon.config"}),
+        # a real run needs every layer
+        (
+            run_module_child(["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "5"]),
+            {"qgordon", "qgordon.config", "qgordon.harness"} | LAYERS,
+        ),
+    ],
+    ids=["import", "help", "run"],
+)
+def test_cli_import_leaves_out_dataclasses_and_inspect(load, package):
+    added = added_modules(load)[0]
+    assert {m for m in added if m.split(".")[0] == "qgordon"} == package
     assert not {"dataclasses", "inspect"} & added
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--k", "3..2"], "configuration error: --k: expected N, N..M, or all; got '3..2'"),
+        (["--checks", "foo"], "configuration error: unknown checks: foo"),
+        (["--trunc-n", "0"], "configuration error: truncation orders must be positive"),
+        (["--trunc-n", "abc"], "qgordon-verify: error: argument --trunc-n: invalid int value: 'abc'"),
+        (["--out", "{tmp}/missing/r.json"], "configuration error: cannot write output: "),
+    ],
+    ids=["k-range", "checks", "trunc-n-0", "trunc-n-abc", "out-parent"],
+)
+def test_cli_config_error_loads_no_numerical_layer(argv, message, tmp_path):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    added, printed, stderr = added_modules(run_module_child(argv))
+    assert printed == ["exit 2"]
+    assert stderr.splitlines()[-1].startswith(message)
+    assert not (LAYERS | {"qgordon.harness"}) & added
+    assert "qgordon.config" in added
+
+
+def test_config_names_have_one_definition():
+    from qgordon import config, counting
+
+    assert harness.CHECK_IDS is config.CHECK_IDS
+    assert harness.ConfigError is config.ConfigError
+    assert harness.SuiteConfig is config.SuiteConfig
+    assert harness._grid is config._grid and harness._groups is config._groups
+    assert counting.REGULAR is config.REGULAR and counting.OVER is config.OVER
+    assert cli.ConfigError is config.ConfigError and cli.SuiteConfig is config.SuiteConfig
