@@ -140,20 +140,12 @@ def pack(rows: list[list[int]], stride: int, slot_bits: int) -> int:
 
 
 def unpack(
-    value: int, n_rows: int, stride: int, slot_bits: int, keep_rows: int, keep_len: int
+    value: int, stride: int, slot_bits: int, keep_rows: int, keep_len: int
 ) -> list[list[int]]:
-    """Recover keep_rows x keep_len signed coefficients from a packed value.
-
-    OverflowError if value is out of range for n_rows x stride slots."""
-    n_slots = n_rows * stride
-    nbytes = slot_bits // 8
-    top = _offset_constant(n_slots, slot_bits)
-    raw = ((value + top) ^ top).to_bytes(n_slots * nbytes, "little")
-    row_bytes = stride * nbytes
-    return [
-        _decode(raw[base : base + keep_len * nbytes], nbytes, True)
-        for base in range(0, keep_rows * row_bytes, row_bytes)
-    ]
+    """The first keep_len balanced digits of each of the first keep_rows
+    rows of stride slots of value (read_slots)."""
+    flat = read_slots(value, keep_rows * stride, slot_bits)
+    return [flat[base : base + keep_len] for base in range(0, keep_rows * stride, stride)]
 
 
 def multiply_tables(
@@ -178,7 +170,7 @@ def multiply_tables(
     out_rows = len(a_rows) + len(b_rows) - 1
     got_rows = min(keep_rows, out_rows)
     got_len = min(keep_len, stride)
-    rows = unpack(prod, out_rows, stride, bits, got_rows, got_len)
+    rows = unpack(prod, stride, bits, got_rows, got_len)
     for row in rows:
         row += [0] * (keep_len - got_len)
     rows += [[0] * keep_len for _ in range(keep_rows - got_rows)]

@@ -28,8 +28,12 @@ the bound behind the DP slot width and is the (q; q)_inf quotient of the
 x = 1 product forms (gseries).
 
 All functions are pure.  The memo tables are module-level dicts under one
-policy (_deepest), and the mask budget is kept under a lock, so concurrent
-use is safe: a memo that a concurrent run empties (harness) costs a rebuild.
+policy: _deepest holds each entry as (bounds, value) at the deepest bounds
+asked for.  A memo keyed by a (k, d, flavor) group is made by _group_memo,
+which registers it in _GROUP_MEMOS for harness to empty as each group ends;
+the parts row (_width_cache) and the masks (_mask_cache) are shared across
+groups and not registered.  The mask budget is kept under a lock, so
+concurrent use is safe: a memo that a concurrent run empties costs a rebuild.
 """
 
 from __future__ import annotations
@@ -120,7 +124,10 @@ class FreqSolution(_FreqFields):
     @classmethod
     def from_parts(cls, parts, overlined=()) -> "FreqSolution":
         """Build from a list of part values plus the values that are overlined."""
-        top = max(list(parts) + list(overlined) + [0])
+        values = list(parts) + list(overlined)
+        if any(v < 1 for v in values):
+            raise ValueError("parts must be at least 1")
+        top = max(values + [0])
         f = [0] * top
         fbar = [0] * top
         for v in parts:
@@ -199,17 +206,57 @@ def satisfies_mult_conditions(sol: FreqSolution, cp: CountParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the memo policy
+# ---------------------------------------------------------------------------
+
+
+def _deepest(memo: dict, key, want: tuple, build):
+    """The memo policy: hold the deepest build, and serve from it every
+    request that it covers.
+
+    want is the tuple of bounds asked for at key.  memo[key] holds
+    (bounds, value): the value last built, and the bounds it was built at.
+    A held value whose bounds each reach want's is returned as it is.
+    Otherwise build(*bounds) runs at the largest of want and the held
+    bounds, and its value replaces the held one and is returned as built.
+    It is never read back from memo, which a concurrent run may have
+    emptied in between.
+    """
+    held = memo.get(key)
+    if held is not None:
+        bounds, value = held
+        if all(h >= w for h, w in zip(bounds, want)):
+            return value
+        want = tuple(map(max, want, bounds))
+    value = build(*want)
+    memo[key] = want, value
+    return value
+
+
+_GROUP_MEMOS: list[dict] = []
+
+
+def _group_memo() -> dict:
+    """A new memo keyed by a (k, d, flavor) group, registered in
+    _GROUP_MEMOS: harness._end_group empties every registered memo, in
+    place, as each group ends."""
+    memo: dict = {}
+    _GROUP_MEMOS.append(memo)
+    return memo
+
+
+# ---------------------------------------------------------------------------
 # fast route: frequency-window DP over packed count vectors
 # ---------------------------------------------------------------------------
 
-_width_cache: dict[str, list[int]] = {}
+_width_cache: dict[str, tuple[tuple[int], list[int]]] = {}
 _mask_cache: dict[tuple[int, int, int, int], int] = {}
 _mask_bytes = 0  # total _mask_size of the masks in _mask_cache; both change under _mask_lock
 _mask_lock = threading.Lock()
 _MASK_BUDGET = 32 << 20  # bytes of masks that _mask_cache may hold
-# (k, d, flavor) -> (n_max, parts, {(a, s): table}) and (n_max, {(a, s): counts})
-_table_cache: dict[tuple[int, int, str], tuple[int, int, dict]] = {}
-_totals_cache: dict[tuple[int, int, str], tuple[int, dict]] = {}
+# (k, d, flavor) -> ((n_max, parts), {(a, s): table}) and ((n_max,), {(a, s): counts})
+_table_cache = _group_memo()
+_totals_cache = _group_memo()
 
 
 def _parts_row(plain, lined, n_max: int, row: Optional[list[int]] = None) -> list[int]:
@@ -225,26 +272,6 @@ def _parts_row(plain, lined, n_max: int, row: Optional[list[int]] = None) -> lis
     return rows[0]
 
 
-def _deepest(memo: dict, key, want: tuple, bounds, build):
-    """The memo policy: hold the deepest build, and serve from it every
-    request that it covers.
-
-    want is the tuple of bounds asked for at key, and bounds(held) the tuple
-    that a held value is exact to.  A held value whose bounds each reach
-    want's is returned as it is.  Otherwise build(*bounds) runs at the
-    largest of want and the bounds held at key, and its value replaces the
-    held one and is returned as built.  It is never read back from memo,
-    which a concurrent run may have emptied in between.
-    """
-    held = memo.get(key)
-    if held is not None:
-        if all(h >= w for h, w in zip(bounds(held), want)):
-            return held
-        want = tuple(map(max, want, bounds(held)))
-    built = memo[key] = build(*want)
-    return built
-
-
 def partition_counts(flavor: str, n_max: int) -> list[int]:
     """p(0), p(1), ... (p-bar for overpartitions, the coefficients of
     prod (1+q^v)/(1-q^v)) through n_max or further: the coefficients of
@@ -255,7 +282,7 @@ def partition_counts(flavor: str, n_max: int) -> list[int]:
         every = range(1, n + 1)
         return _parts_row(every, every if flavor == OVER else (), n)
 
-    return _deepest(_width_cache, flavor, (n_max,), lambda row: (len(row) - 1,), build)
+    return _deepest(_width_cache, flavor, (n_max,), build)
 
 
 def _slot_bits(flavor: str, n_max: int) -> int:
@@ -417,13 +444,8 @@ def count_table(cp: CountParams, n_max: int, parts: Optional[int] = None) -> lis
     parts = n_max if parts is None else min(parts, n_max)
     if cp.a == 0:
         return [[0] * (n_max + 1) for _ in range(parts + 1)]
-    k, d, flavor = cp.k, cp.d, cp.flavor
-
-    def build(n, p):
-        return n, p, _compute_table(k, d, flavor, n, p)
-
-    held = _deepest(_table_cache, (k, d, flavor), (n_max, parts), lambda held: held[:2], build)
-    return held[2][cp.a, cp.s]
+    build = functools.partial(_compute_table, cp.k, cp.d, cp.flavor)
+    return _deepest(_table_cache, (cp.k, cp.d, cp.flavor), (n_max, parts), build)[cp.a, cp.s]
 
 
 def count_mult(cp: CountParams, m: int, n: int) -> int:
@@ -439,13 +461,9 @@ def count_mult_totals(cp: CountParams, n_max: int) -> list[int]:
     one build for every (a, s) of the group (k, d, flavor)."""
     if cp.a == 0:
         return [0] * (n_max + 1)
-    k, d, flavor = cp.k, cp.d, cp.flavor
-
-    def build(n):
-        return n, _compute_totals(k, d, flavor, n)
-
-    held = _deepest(_totals_cache, (k, d, flavor), (n_max,), lambda held: held[:1], build)
-    return held[1][cp.a, cp.s][: n_max + 1]
+    build = functools.partial(_compute_totals, cp.k, cp.d, cp.flavor)
+    lists = _deepest(_totals_cache, (cp.k, cp.d, cp.flavor), (n_max,), build)
+    return lists[cp.a, cp.s][: n_max + 1]
 
 
 def count_mult_total(cp: CountParams, n: int) -> int:
@@ -505,7 +523,8 @@ def count_mult_brute(cp: CountParams, m: Optional[int], n: int) -> int:
 # congruence-side counters
 # ---------------------------------------------------------------------------
 
-_cong_cache: dict[tuple[int, int, int, str], tuple[int, PowerSeries, bool]] = {}
+# (k, d, c, flavor) -> (series, product_defined)
+_cong_cache = _group_memo()
 
 
 def congruence_series(
@@ -548,14 +567,8 @@ def cached_congruence_series(k: int, d: int, c: int, flavor: str, n: int):
     """congruence_series(k, d, c, flavor, ...) exact through q^n or deeper,
     as (series, product_defined), from _cong_cache.  A miss builds through
     q^max(n, 16) and replaces the held series."""
-    key = (k, d, c, flavor)
-
-    def build(n):
-        series, special = congruence_series(k, d, c, flavor, max(n, 16))
-        return series.trunc_order, series, special
-
-    _, series, special = _deepest(_cong_cache, key, (n,), lambda held: held[:1], build)
-    return series, special
+    build = functools.partial(congruence_series, k, d, c, flavor)
+    return _deepest(_cong_cache, (k, d, c, flavor), (max(n, 16),), build)
 
 
 def count_cong(cp: CountParams, n: int) -> int:

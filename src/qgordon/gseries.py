@@ -41,21 +41,25 @@ the comparison bound.  The x = 1 product forms are packed rows: a numerator
 of shift-adds, divided by 1 - q^d and multiplied once by the held p(n) row
 (counting.partition_counts), so no series is inverted.
 
-Pure functions + memo dicts under counting._deepest: safe for concurrent
-use; a memo that a concurrent run empties (harness) costs a rebuild.
+Pure functions + memo dicts under counting._deepest.  The three memos
+(summand families, constructed sums, functional-equation tables) are keyed
+within a (k, d, flavor) group and made by counting._group_memo, so harness
+empties them as each group ends.  Safe for concurrent use: a memo that a
+concurrent run empties costs a rebuild.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional
 
 from . import _packing
+from .config import OVER, REGULAR
 from .counting import (
-    OVER,
-    REGULAR,
     CountParams,
     _deepest,
     _equation_terms,
+    _group_memo,
     count_table,
     min_admissible_weight,
     modulus,
@@ -70,8 +74,8 @@ from .series import (
     triple_product,
 )
 
-_summand_cache: dict = {}
-_constructed_cache: dict = {}
+_summand_cache = _group_memo()
+_constructed_cache = _group_memo()
 
 
 class _Packed(NamedTuple):
@@ -151,10 +155,8 @@ def summand_series(
         raise DomainError("x-exponents must be non-negative")
     key = (kind, k, d, s, n, flavor, x_order)
 
-    def build(N):
-        return _build_summand(kind, k, d, s, n, flavor, x_order, N)
-
-    held = _deepest(_summand_cache, key, (trunc_order,), lambda f: (f.trunc_order,), build)
+    build = functools.partial(_build_summand, kind, k, d, s, n, flavor, x_order)
+    held = _deepest(_summand_cache, key, (trunc_order,), build)
     return held if packed else held.series(trunc_order)
 
 
@@ -413,7 +415,7 @@ def constructed_gf(
         return _sum_terms(_span_terms(k, d, s, a, flavor, x_order, N, False, 0, 0), x_order, N)
 
     key = (k, a, d, s, flavor, x_order)
-    held = _deepest(_constructed_cache, key, (trunc_order,), lambda f: (f.trunc_order,), build)
+    held = _deepest(_constructed_cache, key, (trunc_order,), build)
     span = held.series(trunc_order)
     return span.as_ordinary() if require_ordinary else span
 
@@ -434,7 +436,7 @@ def enumerated_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
 # the functional-equation route
 # ---------------------------------------------------------------------------
 
-_recurrence_cache: dict = {}
+_recurrence_cache = _group_memo()
 
 
 def _recurrence_tables(k, d, flavor, x_order, trunc_order):
@@ -448,7 +450,7 @@ def _recurrence_tables(k, d, flavor, x_order, trunc_order):
     contribute nothing (their classes are provably empty), and no entry
     with n < m is nonzero.  An entry reads only entries of no larger m and
     n, so a deeper fill agrees with a shallower one: _recurrence_cache
-    holds the deepest of each (k, d, flavor), as (X, N, values).
+    holds the deepest of each (k, d, flavor).
     """
 
     def build(X, N):
@@ -475,10 +477,9 @@ def _recurrence_tables(k, d, flavor, x_order, trunc_order):
                     for term_row in term_rows:
                         acc += term_row[n - m]
                     row[n] = acc
-        return X, N, values
+        return values
 
-    key, want = (k, d, flavor), (x_order, trunc_order)
-    return _deepest(_recurrence_cache, key, want, lambda held: held[:2], build)[2]
+    return _deepest(_recurrence_cache, (k, d, flavor), (x_order, trunc_order), build)
 
 
 def recurrence_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:

@@ -298,21 +298,10 @@ def _tuple_params(k, a, d, s, flavor, x_order, trunc_order) -> dict:
 
 
 def _end_group() -> None:
-    """Empty the memos keyed by a (k, d, flavor) group, in place: the
-    summand families, each tuple's constructed sum, the functional-equation
-    tables, the count tables and lists, and the congruence series.  No later
-    group reads them.  Three memos are shared across groups and stay: the
-    parts row (_width_cache, one row per flavor), the masks (_mask_cache,
-    held to its byte budget) and min_admissible_weight (keyed by k, a,
-    flavor and parts, a few entries per k)."""
-    for memo in (
-        gseries._summand_cache,
-        gseries._constructed_cache,
-        gseries._recurrence_cache,
-        counting._table_cache,
-        counting._totals_cache,
-        counting._cong_cache,
-    ):
+    """Empty every memo keyed by a (k, d, flavor) group, in place: the
+    registered ones (counting._GROUP_MEMOS), which no later group reads.
+    The memos shared across groups are not registered and stay."""
+    for memo in counting._GROUP_MEMOS:
         memo.clear()
 
 

@@ -9,7 +9,7 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qgordon import _packing, counting
+from qgordon import _packing, counting, harness
 from qgordon.counting import (
     OVER,
     REGULAR,
@@ -50,6 +50,16 @@ def test_freq_solution_encoding():
     assert OVER_EXAMPLE.num_parts == 12
     assert OVER_EXAMPLE.freq(1) == 1 and OVER_EXAMPLE.over_flag(1) == 1
     assert OVER_EXAMPLE.freq(4) == 0 and OVER_EXAMPLE.over_flag(4) == 1
+
+
+@pytest.mark.parametrize(
+    "parts, overlined", [([3, 0], ()), ([2, -1], ()), ([2], [0]), ([0], ()), ([], [-2])]
+)
+def test_from_parts_rejects_a_part_below_one(parts, overlined):
+    # a part of 0 or less used to index the frequency list from its end
+    with pytest.raises(ValueError, match="at least 1"):
+        FreqSolution.from_parts(parts, overlined)
+    assert FreqSolution.from_parts([]) == FreqSolution((), ())
 
 
 def test_rho_table_of_the_overpartition_example():
@@ -311,8 +321,7 @@ def test_group_build_matches_forward_dp(group, n_max, parts):
 def test_group_build_at_the_smallest_bounds(monkeypatch):
     # N = 0 holds the empty solution alone, N = 1 adds the part 1 (and 1-bar);
     # a = 0 admits nothing
-    monkeypatch.setattr(counting, "_table_cache", {})
-    monkeypatch.setattr(counting, "_totals_cache", {})
+    harness._end_group()
     for k, d, flavor in ((2, 1, REGULAR), (3, 2, OVER), (4, 3, REGULAR), (5, 5, OVER)):
         for n_max in (0, 1):
             for a in range(k + 1):
@@ -357,7 +366,7 @@ def test_held_table_serves_smaller_requests(monkeypatch):
         built.append((n_max, parts))
         return compute_table(k, d, flavor, n_max, parts)
 
-    monkeypatch.setattr(counting, "_table_cache", {})
+    harness._end_group()
     monkeypatch.setattr(counting, "_compute_table", spy_table)
     cp = CountParams(3, 2, 2, 1, OVER)
     full = count_table(cp, 20)
@@ -371,7 +380,7 @@ def test_held_table_serves_smaller_requests(monkeypatch):
     assert len(count_table(cp, 24, 5)) == 21
     assert count_table(cp, 22, 20) is count_table(cp, 24, 18)
     assert built == [(20, 20), (24, 20)]
-    monkeypatch.setattr(counting, "_table_cache", {})
+    harness._end_group()
     count_table(cp, 12, 3)
     count_table(cp, 8, 6)
     assert built[2:] == [(12, 3), (12, 6)]
@@ -389,8 +398,7 @@ def test_group_build_holds_the_union_of_its_bounds(monkeypatch):
         built.append((k, d, flavor, n_max))
         return compute_totals(k, d, flavor, n_max)
 
-    monkeypatch.setattr(counting, "_table_cache", {})
-    monkeypatch.setattr(counting, "_totals_cache", {})
+    harness._end_group()
     monkeypatch.setattr(counting, "_compute_table", spy_table)
     monkeypatch.setattr(counting, "_compute_totals", spy_totals)
     group = sorted(group_starts(3, 2))
@@ -398,27 +406,27 @@ def test_group_build_holds_the_union_of_its_bounds(monkeypatch):
     count_table(CountParams(3, 2, 2, 1, OVER), 20, 4)
     assert built == [(3, 2, OVER, 20, 4)]
     assert list(counting._table_cache) == [(3, 2, OVER)]
-    assert sorted(counting._table_cache[3, 2, OVER][2]) == group
+    assert sorted(counting._table_cache[3, 2, OVER][1]) == group
     assert len(count_table(CountParams(3, 1, 2, 0, OVER), 12, 3)) == 5
     assert len(built) == 1
     # more rows but fewer weights: the miss builds the union for the whole
     # group, so no held table shrinks
     count_table(CountParams(3, 3, 2, 0, OVER), 10, 8)
     assert built[1:] == [(3, 2, OVER, 20, 8)]
-    held_n, held_parts, tables = counting._table_cache[3, 2, OVER]
+    (held_n, held_parts), tables = counting._table_cache[3, 2, OVER]
     assert (held_n, held_parts) == (20, 8)
     for start in group:
         assert (len(tables[start]), len(tables[start][0])) == (9, 21), start
     # another group is built on its own and leaves this one alone
     count_table(CountParams(3, 2, 1, 0, OVER), 5, 2)
     assert built[2:] == [(3, 1, OVER, 5, 2)]
-    assert counting._table_cache[3, 2, OVER][2] is tables
+    assert counting._table_cache[3, 2, OVER][1] is tables
     # the weight-only lists follow the same rule
     count_mult_totals(CountParams(3, 2, 2, 1, OVER), 30)
     assert len(count_mult_totals(CountParams(3, 3, 2, 0, OVER), 10)) == 11
     count_mult_totals(CountParams(3, 1, 2, 1, OVER), 35)
     assert built[3:] == [(3, 2, OVER, 30), (3, 2, OVER, 35)]
-    held_n, lists = counting._totals_cache[3, 2, OVER]
+    (held_n,), lists = counting._totals_cache[3, 2, OVER]
     assert held_n == 35 and sorted(lists) == group
     assert all(len(lists[start]) == 36 for start in group)
 
@@ -433,7 +441,7 @@ def test_x_one_grid_builds_one_table_per_group(monkeypatch):
         built.append((k, d, flavor))
         return compute_table(k, d, flavor, n_max, parts)
 
-    monkeypatch.setattr(counting, "_table_cache", {})
+    harness._end_group()
     monkeypatch.setattr(counting, "_compute_table", spy_table)
     config = SuiteConfig(
         checks=("gf-match", "product-eval"), ks=(2, 3, 4), ds=(1, 2, 3, 4),
@@ -501,7 +509,7 @@ def test_identities_build_one_weight_only_dp_per_group(monkeypatch):
     def no_table(k, d, flavor, n_max, parts):
         raise AssertionError("the identities check built a (parts, weight) table")
 
-    monkeypatch.setattr(counting, "_totals_cache", {})
+    harness._end_group()
     monkeypatch.setattr(counting, "_compute_totals", spy_totals)
     monkeypatch.setattr(counting, "_compute_table", no_table)
     reports = run_suite(SuiteConfig(checks=("identities",), ks=(2, 3), trunc_order=40))
@@ -578,7 +586,7 @@ def test_identities_build_each_congruence_series_once(monkeypatch):
         built.append((k, d, c, flavor))
         return congruence_series(k, d, c, flavor, trunc_order)
 
-    monkeypatch.setattr(counting, "_cong_cache", {})
+    harness._end_group()
     monkeypatch.setattr(counting, "congruence_series", spy)
     reports = run_suite(SuiteConfig(checks=("identities",), trunc_order=80))
     assert any(r.status == "pass" for r in reports)

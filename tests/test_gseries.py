@@ -168,7 +168,7 @@ def test_summand_miss_makes_no_kernel_call(monkeypatch):
         return multiply(*args)
 
     monkeypatch.setattr(_packing, "multiply_tables", counted)
-    monkeypatch.setattr(gseries, "_summand_cache", {})
+    harness._end_group()
     for kind in ("alpha", "beta"):
         for flavor in (REGULAR, OVER):
             summand_series(kind, 4, 3, 1, 2, flavor, 8, 40)
@@ -182,12 +182,11 @@ def test_summand_miss_makes_no_kernel_call(monkeypatch):
 @given(summand_instances(), st.integers(1, 12))
 def test_summand_served_from_a_deeper_build(instance, extra):
     *family, trunc_order = instance
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gseries, "_summand_cache", {})
-        summand_series(*family, trunc_order + extra)
-        got = summand_series(*family, trunc_order)
-        mp.setattr(gseries, "_summand_cache", {})
-        fresh = summand_series(*family, trunc_order)
+    harness._end_group()
+    summand_series(*family, trunc_order + extra)
+    got = summand_series(*family, trunc_order)
+    harness._end_group()
+    fresh = summand_series(*family, trunc_order)
     assert got.trunc_order == trunc_order
     assert got == fresh == reference_summand(*instance)
 
@@ -200,7 +199,7 @@ def test_a_sweep_builds_each_summand_family_once(monkeypatch):
         built.append(args[:-1])  # the family: every argument but the truncation
         return build(*args)
 
-    monkeypatch.setattr(gseries, "_summand_cache", {})
+    harness._end_group()
     monkeypatch.setattr(gseries, "_build_summand", counted)
     for k, d, s, flavor in ((3, 2, 1, REGULAR), (4, 4, 3, REGULAR), (4, 2, 0, OVER)):
         for a in range(1, k + 1):
@@ -275,9 +274,9 @@ def test_summed_span_matches_add_fold(instance, coeff):
 
 
 def test_sum_terms_accepts_deeper_terms_only(monkeypatch):
-    monkeypatch.setattr(gseries, "_summand_cache", {})
+    harness._end_group()
     f19 = summand_series("alpha", 3, 2, 1, 2, REGULAR, 6, 19, packed=True)
-    monkeypatch.setattr(gseries, "_summand_cache", {})
+    harness._end_group()
     f = summand_series("alpha", 3, 2, 1, 2, REGULAR, 6, 20, packed=True)
     exact = gseries._sum_terms([(f19, 1, 0, -4, True)], 6, 15).series()
     assert gseries._sum_terms([(f, 1, 0, -4, True)], 6, 15).series() == exact
@@ -296,7 +295,7 @@ def test_default_summand_sweep_builds_each_family_once(monkeypatch):
         built.append(args[:-1])
         return build(*args)
 
-    monkeypatch.setattr(gseries, "_summand_cache", {})
+    harness._end_group()
     monkeypatch.setattr(gseries, "_build_summand", counted)
     reports = run_suite(SuiteConfig(checks=("summand-eqs",)))
     assert all(r.status == "pass" for r in reports if r.check_id == "summand-eqs")
@@ -559,7 +558,7 @@ def test_summand_recurrences_d1_single_group():
     assert sweep.instances == 2 * 2 * 4
 
 
-def test_summand_sweep_names_each_failing_display(monkeypatch):
+def test_summand_sweep_names_each_failing_display(monkeypatch, request):
     # alpha[0]_1 with one slot off by one: every display that reads it inside
     # the window fails, and the sweep names each failure by (display, s, a,
     # n), in sweep order (n, then a, then s; alpha before beta)
@@ -572,7 +571,8 @@ def test_summand_sweep_names_each_failing_display(monkeypatch):
         return f
 
     monkeypatch.setattr(gseries, "_build_summand", corrupted)
-    monkeypatch.setattr(gseries, "_summand_cache", {})
+    harness._end_group()
+    request.addfinalizer(harness._end_group)  # the corrupted builds go with the test
     for flavor, beta_wrap in ((REGULAR, "beta-wrap"), (OVER, "beta-wrap-over")):
         sweep = verify_summand_recurrences(3, 2, flavor, 2, 4)
         assert sweep.instances == 3 * 3 * 2 * 2  # n, a, s and two displays
@@ -723,11 +723,12 @@ def test_x_one_check_reads_a_deeper_held_sum(tup, truncations):
     assert_held_read_matches_cold(tup, *truncations)
 
 
-def test_x_one_ordinary_flag_reads_every_row(monkeypatch):
+def test_x_one_ordinary_flag_reads_every_row(monkeypatch, request):
     # q^-1 - x q^-1 vanishes at x = 1 but is not ordinary
     f = gseries._Packed([1, 0, 0], 2, 10, -1, 64, 1)
     terms = [(f, 1, 0, 0, False), (f, -1, 1, 0, False)]
-    monkeypatch.setattr(gseries, "_constructed_cache", {})
+    harness._end_group()
+    request.addfinalizer(harness._end_group)  # the planted sum goes with the test
     monkeypatch.setattr(gseries, "_span_terms", lambda *args: terms)
     row = sum_x_rows(constructed_gf(2, 1, 1, 0, REGULAR, 2, 10, require_ordinary=False))
     assert row.is_zero() and row.q_offset == -1
@@ -738,7 +739,7 @@ def test_x_one_check_shares_the_gf_match_sum(monkeypatch):
     def no_sum(*args, **kwargs):
         raise AssertionError("x_one_check summed the summand terms again")
 
-    monkeypatch.setattr(gseries, "_constructed_cache", {})
+    harness._end_group()
     tuples = ((4, 4, 4, 3, REGULAR), (3, 2, 2, 1, REGULAR), (3, 3, 1, 0, OVER))
     for t in tuples:
         constructed_gf(*t, 8, 30, require_ordinary=False)

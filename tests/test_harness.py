@@ -319,17 +319,25 @@ def test_canonical_reports_are_pinned():
 
 
 def group_memos() -> dict:
-    """Every module-level _*_cache dict of counting and gseries, by qualified
-    name, except the two memos shared across groups: a memo added later is
-    covered here without a line of its own."""
-    shared = {"_width_cache", "_mask_cache"}
+    """The registered group memos (counting._GROUP_MEMOS), by qualified name."""
     return {
         f"{module.__name__}.{name}": memo
         for module in (counting, gseries)
         for name, memo in vars(module).items()
-        if name.startswith("_") and name.endswith("_cache") and name not in shared
-        and isinstance(memo, dict)
+        if any(memo is held for held in counting._GROUP_MEMOS)
     }
+
+
+def test_every_group_memo_is_registered():
+    # each module-level memo of counting and gseries is either registered or
+    # one of the two shared across groups, and nothing else is registered
+    shared = {"_width_cache", "_mask_cache"}
+    for module in (counting, gseries):
+        for name, memo in vars(module).items():
+            if name.startswith("_") and name.endswith("_cache") and isinstance(memo, dict):
+                registered = any(memo is held for held in counting._GROUP_MEMOS)
+                assert registered != (name in shared), f"{module.__name__}.{name}"
+    assert len(counting._GROUP_MEMOS) == len(group_memos()) == 6
 
 
 def test_run_suite_empties_the_group_memos_in_place():

@@ -70,7 +70,7 @@ def test_pack_unpack_roundtrip():
     rows = random_table(rng, 4, 9, 2**50)
     bits = _packing.slot_bits_for(rows, [[1]])
     packed = _packing.pack(rows, 9, bits)
-    assert _packing.unpack(packed, 4, 9, bits, 4, 9) == rows
+    assert _packing.unpack(packed, 9, bits, 4, 9) == rows
 
 
 @settings(max_examples=50, deadline=None)
@@ -115,7 +115,7 @@ def test_pack_unpack_roundtrip_at_the_slot_edges(table):
     rows, bits = table
     stride = len(rows[0])
     packed = _packing.pack(rows, stride, bits)
-    assert _packing.unpack(packed, len(rows), stride, bits, len(rows), stride) == rows
+    assert _packing.unpack(packed, stride, bits, len(rows), stride) == rows
     flat = [c for row in rows for c in row]
     assert _packing.read_slots(packed, len(flat), bits) == flat
     # any multiple of 2**(n*B) added leaves the balanced digits unchanged
