@@ -56,7 +56,7 @@ def test_freq_solution_encoding():
     "parts, overlined", [([3, 0], ()), ([2, -1], ()), ([2], [0]), ([0], ()), ([], [-2])]
 )
 def test_from_parts_rejects_a_part_below_one(parts, overlined):
-    # a part of 0 or less used to index the frequency list from its end
+    # a part of 0 or less would index the frequency list from its end
     with pytest.raises(ValueError, match="at least 1"):
         FreqSolution.from_parts(parts, overlined)
     assert FreqSolution.from_parts([]) == FreqSolution((), ())
