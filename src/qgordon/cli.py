@@ -12,9 +12,11 @@ stdout's reader goes away (`| head`), the run still finishes, writes --out
 and --csv-dir, and exits with its usual code.
 
 Exit codes: 0 all checks passed (or were skipped), 1 at least one check
-failed, 2 configuration error.  The arguments are parsed and checked, and
-the outputs opened, before any numerical layer is imported: --help and a
-configuration error load only the config module.
+failed, 2 configuration error, or an output (--out, --csv-dir, stdout) that
+cannot be written, before or during the run ("cannot write output: ...",
+no traceback).  The arguments are parsed and checked, and the outputs
+opened, before any numerical layer is imported: --help and a configuration
+error load only the config module.
 """
 
 from __future__ import annotations
@@ -162,28 +164,34 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    with out or contextlib.nullcontext():
-        # the numerical layers load only once the configuration is known to be good
-        from . import harness
+    # the numerical layers load only once the configuration is known to be good
+    from . import harness
 
-        reports = harness.run_suite(
-            config,
-            on_report=lambda report: _write_line(render_line(report)),
-            csv_dir=args.csv_dir or None,
-        )
-        counts = {
-            status: sum(1 for r in reports if r.status == status)
-            for status in ("pass", "fail", "skipped")
-        }
-        _write_line(
-            f"{counts['pass']} passed, {counts['fail']} failed, "
-            f"{counts['skipped']} skipped"
-        )
-        if out is not None:
-            out.write(harness.reports_to_json(reports) + "\n")
-    if args.csv_dir:
-        # a counts and a series file per tuple of the grid
-        _write_line(f"wrote {2 * len(list(_grid(config)))} CSV files to {args.csv_dir}")
+    try:
+        with out or contextlib.nullcontext():
+            reports = harness.run_suite(
+                config,
+                on_report=lambda report: _write_line(render_line(report)),
+                csv_dir=args.csv_dir or None,
+            )
+            counts = {
+                status: sum(1 for r in reports if r.status == status)
+                for status in ("pass", "fail", "skipped")
+            }
+            _write_line(
+                f"{counts['pass']} passed, {counts['fail']} failed, "
+                f"{counts['skipped']} skipped"
+            )
+            if out is not None:
+                out.write(harness.reports_to_json(reports) + "\n")
+        if args.csv_dir:
+            # a counts and a series file per tuple of the grid
+            _write_line(f"wrote {2 * len(list(_grid(config)))} CSV files to {args.csv_dir}")
+    except OSError as exc:
+        # a write that fails mid-run (a full disk, a CSV name taken by a
+        # directory) is not a failed check
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     return harness.exit_code(reports)
 
 

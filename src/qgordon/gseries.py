@@ -498,73 +498,30 @@ def recurrence_gf(k, a, d, s, flavor, x_order, trunc_order) -> BiSeries:
 # ---------------------------------------------------------------------------
 
 
-class _Record:
-    """A mutable record: its fields are its __slots__, in order.  Records of
-    the same class are equal when their fields are, and none is hashable."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class DisplayCheck(_Record):
+class DisplayCheck(NamedTuple):
     """Outcome of one recurrence-display instance."""
 
-    __slots__ = ("display", "s", "a", "n", "ok", "mismatch")
+    display: str
+    s: int
+    a: int
+    n: int
+    ok: bool
+    mismatch: Optional[tuple] = None
 
-    def __init__(
-        self, display: str, s: int, a: int, n: int, ok: bool, mismatch: Optional[tuple] = None
-    ):
-        self.display, self.s, self.a, self.n, self.ok = display, s, a, n, ok
-        self.mismatch = mismatch
 
-
-class SummandSweep(_Record):
+class SummandSweep(NamedTuple):
     """Outcome of sweeping all summand recurrence displays."""
 
-    __slots__ = (
-        "k",
-        "d",
-        "flavor",
-        "n_max",
-        "x_order",
-        "trunc_order",
-        "failures",
-        "suspect_printed_ok",
-        "suspect_corrected_ok",
-        "instances",
-    )
-
-    def __init__(
-        self,
-        k: int,
-        d: int,
-        flavor: str,
-        n_max: int,
-        x_order: int,
-        trunc_order: int,
-        failures: Optional[list] = None,
-        suspect_printed_ok: bool = True,
-        suspect_corrected_ok: bool = True,
-        instances: int = 0,
-    ):
-        self.k, self.d, self.flavor, self.n_max = k, d, flavor, n_max
-        self.x_order, self.trunc_order = x_order, trunc_order
-        self.failures = [] if failures is None else failures
-        self.suspect_printed_ok = suspect_printed_ok
-        self.suspect_corrected_ok = suspect_corrected_ok
-        self.instances = instances
+    k: int
+    d: int
+    flavor: str
+    n_max: int
+    x_order: int
+    trunc_order: int
+    failures: tuple = ()  # DisplayCheck of each failing instance, in sweep order
+    suspect_printed_ok: bool = True
+    suspect_corrected_ok: bool = True
+    instances: int = 0
 
     @property
     def ok(self) -> bool:
@@ -600,7 +557,9 @@ def verify_summand_recurrences(
     N = trunc_order if trunc_order is not None else needed_trunc_order(k, d, n_max)
     X = x_order
     over = flavor == OVER
-    sweep = SummandSweep(k, d, flavor, n_max, X, N)
+    failures = []
+    instances = 0
+    printed_ok = corrected_ok = True
 
     def term(kind, s, n, mono_x, mono_q, coeff=1, at_xq=False):
         """The _sum_terms term of a summand, built with enough head room."""
@@ -608,10 +567,9 @@ def verify_summand_recurrences(
         return f, coeff, mono_x, mono_q, at_xq
 
     def record(display, s, a, n, lhs, rhs):
-        sweep.instances += 1
         diff = _first_difference(*_sums([lhs, rhs], X, N))
         if diff is not None:
-            sweep.failures.append(DisplayCheck(display, s, a, n, False, diff))
+            failures.append(DisplayCheck(display, s, a, n, False, diff))
 
     for n in range(n_max + 1):
         for a in range(1, k + 1):
@@ -619,6 +577,7 @@ def verify_summand_recurrences(
                 s1, wrap = (s + 1) % d, s == d - 1
                 step = "wrap" if wrap else "step"
                 terms = _equation_terms(k, a, s, flavor)
+                instances += 2  # the alpha and the beta display
                 # alpha display: alpha[s]_n q^(-na) - alpha[s1]_n q^(-n(a-1))
                 #   = sum of (xq)^j beta[0]_(n-1)(xq) (x q^(n+1))^e
                 lhs = [term("alpha", s, n, 0, -n * a), term("alpha", s1, n, 0, -n * (a - 1), -1)]
@@ -640,16 +599,14 @@ def verify_summand_recurrences(
                 j, e = terms[1]
                 printed = rhs[:1] + [term("alpha", 0, n, j + e, j - n * e, at_xq=True)]
                 lhs_sum, printed_sum, corrected_sum = _sums([lhs, printed, rhs], X, N)
-                printed_ok = _first_difference(lhs_sum, printed_sum) is None
+                printed_ok = printed_ok and _first_difference(lhs_sum, printed_sum) is None
                 corrected_diff = _first_difference(lhs_sum, corrected_sum)
-                sweep.instances += 1
-                sweep.suspect_printed_ok = sweep.suspect_printed_ok and printed_ok
                 if corrected_diff is not None:
-                    sweep.suspect_corrected_ok = False
-                    sweep.failures.append(
-                        DisplayCheck("beta-wrap-over", s, a, n, False, corrected_diff)
-                    )
-    return sweep
+                    corrected_ok = False
+                    failures.append(DisplayCheck("beta-wrap-over", s, a, n, False, corrected_diff))
+    return SummandSweep(
+        k, d, flavor, n_max, X, N, tuple(failures), printed_ok, corrected_ok, instances
+    )
 
 
 def verify_gf_functional_equation(
@@ -831,14 +788,13 @@ def x_one_exact_bound(k, a, d, s, flavor, x_order, trunc_order) -> int:
     return min(N - X, X - deficit)
 
 
-class XOneCheck(_Record):
+class XOneCheck(NamedTuple):
     """Comparison of the x = 1 specialization against each product form."""
 
-    __slots__ = ("bound", "identified", "ordinary", "results")
-
-    def __init__(self, bound: int, identified: bool, ordinary: bool, results: list):
-        self.bound, self.identified, self.ordinary = bound, identified, ordinary
-        self.results = results  # (label, ok, mismatch)
+    bound: int
+    identified: bool
+    ordinary: bool
+    results: tuple  # (label, ok, mismatch) of each form
 
     @property
     def ok(self) -> bool:
@@ -867,7 +823,7 @@ def x_one_check(k, a, d, s, flavor, x_order, trunc_order) -> XOneCheck:
     for label, form in x_one_product_forms(k, a, d, s, flavor, top):
         diff = ev.first_difference(form) if bound >= 0 else ("bound", bound, None, None)
         results.append((label, diff is None, diff))
-    return XOneCheck(bound, idc and grounded, g.is_ordinary(), results)
+    return XOneCheck(bound, idc and grounded, g.is_ordinary(), tuple(results))
 
 
 def bridging_identity_holds(d: int, s: int, a: int) -> bool:

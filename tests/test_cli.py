@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, artifacts, streaming."""
 
+import errno
+import io
 import json
 import os
 import select
@@ -151,6 +153,73 @@ def test_cli_unusable_output_path_is_config_error(tmp_path, capsys, monkeypatch)
         assert main(grid + bad) == 2, bad
         assert "configuration error: cannot write output" in capsys.readouterr().err
     assert plain.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "grid, summary",
+    [
+        (
+            ["--k", "4", "--d", "4", "--trunc-n", "1", "--trunc-x", "1"],
+            "28 passed, 0 failed, 4 skipped",
+        ),
+        (
+            ["--k", "2..8", "--d", "1..8", "--trunc-n", "10", "--trunc-x", "4"],
+            "1478 passed, 0 failed, 20 skipped",
+        ),
+    ],
+)
+def test_cli_product_eval_skips_tuples_with_nothing_to_compare(grid, summary, capsys):
+    # tuples whose comparison bound is negative (x_order below the summands'
+    # exponent deficit) are skipped with the bound named, never failed
+    assert main(["--checks", "product-eval", *grid]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == summary
+    skips = [line for line in lines if line.startswith("[skip]")]
+    assert skips and all("is negative: x_order = " in line for line in skips)
+
+
+class FullDisk(io.StringIO):
+    """An --out file whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_cli_failed_out_write_exits_2(monkeypatch, capsys):
+    # the run completes and prints its lines; the --out write then fails: exit
+    # 2 with one message, not a traceback and exit 1 ("a check failed")
+    monkeypatch.setattr(cli, "open_outputs", lambda args: FullDisk())
+    grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "3"]
+    assert main(grid + ["--out", "report.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "cannot write output: [Errno 28] No space left on device\n"
+    assert captured.out.splitlines()[-1] == "4 passed, 0 failed, 0 skipped"
+
+
+def test_cli_csv_name_taken_by_a_directory_exits_2(tmp_path, capsys):
+    csv_dir = tmp_path / "csv"
+    (csv_dir / "counts_k2_a1_d1_s0_regular.csv").mkdir(parents=True)
+    grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "3"]
+    assert main(grid + ["--csv-dir", str(csv_dir), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: [Errno 21] Is a directory: ")
+    assert "counts_k2_a1_d1_s0_regular.csv" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("redirect", ["out", "stdout"])
+def test_cli_write_to_a_full_device_exits_2_without_traceback(redirect):
+    argv = [sys.executable, "-m", "qgordon.cli", "--checks", "identities"]
+    argv += ["--k", "2", "--d", "1", "--trunc-n", "3"]
+    with open("/dev/full", "w") as full:
+        if redirect == "out":
+            argv += ["--out", "/dev/full"]
+        stdout = full if redirect == "stdout" else subprocess.DEVNULL
+        done = subprocess.run(
+            argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60
+        )
+    assert done.returncode == 2
+    assert done.stderr == "cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_cli_empty_checks(capsys):

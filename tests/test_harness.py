@@ -11,7 +11,7 @@ import pytest
 
 from qgordon import counting, gseries, harness
 from qgordon.counting import OVER, REGULAR, CountParams
-from qgordon.series import theta_laurent
+from qgordon.series import BiSeries, theta_laurent
 from qgordon.harness import (
     CHECK_IDS,
     CheckReport,
@@ -215,6 +215,84 @@ def test_check_product_eval_report():
     report = check_product_eval(4, 4, 4, 3, REGULAR, 8, 30)
     assert report.status == "pass"
     assert any("Laurent" in n for n in report.notes)
+
+
+def test_product_eval_skips_a_negative_comparison_bound():
+    # at x_order 1, below the exponent deficit of its summands, the provable
+    # bound of (4, 4, 4, 3) is q^-1 and nothing can be compared: a skip that
+    # names the bound, not a fail at n = -1 with no coefficient
+    assert gseries.x_one_exact_bound(4, 4, 4, 3, REGULAR, 1, 1) == -1
+    report = check_product_eval(4, 4, 4, 3, REGULAR, 1, 1)
+    assert report.status == "skipped" and report.first_mismatch is None
+    assert report.reason == (
+        "comparison bound q^-1 is negative: "
+        "x_order = 1 is below the summands' exponent deficit"
+    )
+
+
+def test_gf_match_reports_disagreeing_routes(monkeypatch):
+    # one functional-equation coefficient off by one: gf-match names the
+    # route disagreement (and only that) at the first differing coefficient
+    recurrence_gf = gseries.recurrence_gf
+
+    def off_by_one(k, a, d, s, flavor, x_order, trunc_order):
+        bump = BiSeries.monomial(1, 2, 7, x_order, trunc_order)
+        return recurrence_gf(k, a, d, s, flavor, x_order, trunc_order) + bump
+
+    monkeypatch.setattr(gseries, "recurrence_gf", off_by_one)
+    report = check_gf_match(3, 2, 2, 1, REGULAR, 6, 18)
+    assert report.status == "fail"
+    assert report.notes == ("enumeration and functional-equation routes disagree",)
+    assert report.first_mismatch == {"m": 2, "n": 7, "lhs": "2", "rhs": "3"}
+
+
+def test_product_eval_names_the_failing_form(monkeypatch):
+    # the bilateral-theta form off by one at q^4: the shifted-argument form
+    # still agrees, and the report names the theta form and the coefficient
+    forms = gseries.x_one_product_forms
+
+    def theta_off_by_one(k, a, d, s, flavor, trunc_order):
+        return [
+            (label, f + BiSeries.monomial(1, 0, 4, 0, trunc_order))
+            if label == "bilateral-theta form"
+            else (label, f)
+            for label, f in forms(k, a, d, s, flavor, trunc_order)
+        ]
+
+    monkeypatch.setattr(gseries, "x_one_product_forms", theta_off_by_one)
+    report = check_product_eval(3, 2, 2, 1, REGULAR, 8, 30)
+    assert report.status == "fail"
+    assert report.notes == (
+        "comparison bound: q^22",
+        "forms compared: 2",
+        "failing form: bilateral-theta form",
+    )
+    assert report.first_mismatch == {"m": None, "n": 4, "lhs": "3", "rhs": "4"}
+
+
+def test_summand_equations_report_the_first_failing_display(monkeypatch, request):
+    # alpha[0]_1 with its x^3 row's first slot off by one (as in
+    # test_summand_sweep_names_each_failing_display): the report counts every
+    # instance and names the first failing display and its coefficient
+    build = gseries._build_summand
+
+    def corrupted(kind, k, d, s, n, flavor, x_order, trunc_order):
+        f = build(kind, k, d, s, n, flavor, x_order, trunc_order)
+        if (kind, s, n) == ("alpha", 0, 1):
+            f = f._replace(rows=[r + (m == 3) for m, r in enumerate(f.rows)])
+        return f
+
+    monkeypatch.setattr(gseries, "_build_summand", corrupted)
+    harness._end_group()
+    request.addfinalizer(harness._end_group)  # the corrupted builds go with the test
+    report = check_summand_equations(3, 2, REGULAR, 2, 4)
+    assert report.status == "fail"
+    assert report.notes == (
+        "instances checked: 36",
+        "first failing display: alpha-step at s=0 a=1 n=1",
+    )
+    # alpha[0]_1 starts at q^6 (M = 6); the q^(-n a) = q^-1 shift puts it at x^3 q^5
+    assert report.first_mismatch == {"m": 3, "n": 5, "lhs": "1", "rhs": "0"}
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +636,21 @@ def test_record_types_keep_their_checks_and_equality():
     with pytest.raises(ConfigError, match="k must be at least 2"):
         SuiteConfig()._replace(ks=(1,))
 
-    # the sweep records stay mutable, equal only within their class, unhashable
+    # the sweep records are NamedTuples too: built once, immutable, equal to
+    # the plain tuple of their fields, with the same fields and defaults
     fields = (2, 1, REGULAR, 3, 8, 40)
     sweep = SummandSweep(*fields)
-    assert sweep.failures == [] and sweep.failures is not SummandSweep(*fields).failures
-    sweep.instances += 1
-    sweep.failures.append(DisplayCheck("alpha", 0, 1, 2, False, (0, 2, 1, 0)))
-    assert not sweep.ok
-    twin = SummandSweep(*fields, [DisplayCheck("alpha", 0, 1, 2, False, (0, 2, 1, 0))])
-    twin.instances = 1
-    assert sweep == twin and sweep != (2, 1, REGULAR, 3, 8, 40)
+    assert sweep == (*fields, (), True, True, 0) and sweep.ok
+    with pytest.raises(AttributeError):
+        sweep.instances = 1
+    failure = DisplayCheck("alpha", 0, 1, 2, False, (0, 2, 1, 0))
+    failed = sweep._replace(failures=(failure,), instances=1)
+    assert not failed.ok and failed == SummandSweep(*fields, (failure,), instances=1)
+    assert not sweep._replace(suspect_corrected_ok=False).ok
+    assert hash(failed) == hash((*fields, (failure,), True, True, 1))
     assert repr(DisplayCheck("alpha", 0, 1, 2, True)) == (
         "DisplayCheck(display='alpha', s=0, a=1, n=2, ok=True, mismatch=None)"
     )
-    with pytest.raises(TypeError):
-        hash(XOneCheck(5, True, True, []))
+    chk = XOneCheck(5, True, True, (("form", False, (None, 3, 1, 0)),))
+    assert chk == (5, True, True, (("form", False, (None, 3, 1, 0)),)) and not chk.ok
+    assert XOneCheck(5, True, True, (("form", True, None),)).ok
