@@ -178,6 +178,9 @@ def test_cli_product_eval_skips_tuples_with_nothing_to_compare(grid, summary, ca
     assert skips and all("is negative: x_order = " in line for line in skips)
 
 
+FULL_DISK = f"cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
 class FullDisk(io.StringIO):
     """An --out file whose every write fails as on a full disk."""
 
@@ -192,7 +195,7 @@ def test_cli_failed_out_write_exits_2(monkeypatch, capsys):
     grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "3"]
     assert main(grid + ["--out", "report.json"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "cannot write output: [Errno 28] No space left on device\n"
+    assert captured.err == FULL_DISK
     assert captured.out.splitlines()[-1] == "4 passed, 0 failed, 0 skipped"
 
 
@@ -202,7 +205,8 @@ def test_cli_csv_name_taken_by_a_directory_exits_2(tmp_path, capsys):
     grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "3"]
     assert main(grid + ["--csv-dir", str(csv_dir), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("cannot write output: [Errno 21] Is a directory: ")
+    is_a_directory = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+    assert err.startswith(f"cannot write output: {is_a_directory}: ")
     assert "counts_k2_a1_d1_s0_regular.csv" in err
 
 
@@ -219,7 +223,7 @@ def test_cli_write_to_a_full_device_exits_2_without_traceback(redirect):
             argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60
         )
     assert done.returncode == 2
-    assert done.stderr == "cannot write output: [Errno 28] No space left on device\n"
+    assert done.stderr == FULL_DISK
 
 
 def test_cli_empty_checks(capsys):
