@@ -4,11 +4,14 @@ Layers
 ------
 config     the check ids, the two flavors, SuiteConfig and its grid (standard
            library only)
+_packing   Kronecker-substitution kernels, the in-place row primitives and
+           DomainError (standard library only)
 series     exact truncated power series in q and (x, q), Pochhammer products,
            triple products, bilateral theta sums
 counting   partition/overpartition counters: frequency-window DP (parts x
            weight tables and weight-only totals), brute-force oracle,
-           congruence-side counters, recurrence verification
+           congruence-side counters, recurrence verification, the
+           applicability conditions (on _packing and config alone)
 gseries    the closed-form summand families and generating-function routes,
            their functional equations, and the x = 1 product evaluation
 harness    batch driver producing machine-readable CheckReports
@@ -27,6 +30,7 @@ _SUBMODULES = ("_packing", "cli", "config", "counting", "gseries", "harness", "s
 
 # defining module -> the names the package exports from it
 _EXPORTS = {
+    "_packing": ("DomainError",),
     "config": ("OVER", "REGULAR", "ConfigError", "SuiteConfig"),
     "counting": (
         "CountParams",
@@ -64,7 +68,6 @@ _EXPORTS = {
     ),
     "series": (
         "BiSeries",
-        "DomainError",
         "OrdinarinessError",
         "PowerSeries",
         "TruncationMismatch",

@@ -23,6 +23,12 @@ Two kernels rest on it:
 
 read_slots (built on _decode) is the one slot reader: balanced signed digits
 for both kernels, plain unsigned digits for the counter DP.
+
+Below both kernels sit the two unpacked row primitives, mul_binomial and
+div_binomial, which multiply or divide a caller's list-of-rows table by a
+binomial in place, and DomainError.  They need nothing but the standard
+library, so the counters (counting) build their rows without loading the
+series ring; series re-exports all three.
 """
 
 from __future__ import annotations
@@ -33,6 +39,40 @@ import sys
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 # byte -> the byte that sign-extends it
 _SIGN_FILL = bytes(128) + b"\xff" * 128
+
+
+class DomainError(ValueError):
+    """Input outside the mathematical domain of the operation."""
+
+
+def mul_binomial(rows: list[list[int]], a: int, e: int, c: int) -> None:
+    """Multiply the table by 1 + c x^a q^e in place.
+
+    rows[m][t] is the coefficient of x^m q^t.  Row m gains c q^e times row
+    m - a, with the rows swept from the top down so that every row read
+    still holds the old product (at a = 0 each row is rebuilt from its old
+    self in one pass).  A factor beyond the window changes nothing.
+    """
+    for m in range(len(rows) - 1, a - 1, -1):
+        dst, src = rows[m], rows[m - a]
+        dst[e:] = [u + c * v for u, v in zip(dst[e:], src)]
+
+
+def div_binomial(rows: list[list[int]], a: int, e: int) -> None:
+    """Divide the table by 1 - x^a q^e in place, (a, e) != (0, 0).
+
+    Row m gains q^e times row m - a, with the rows (and, at a = 0, the
+    q-exponents) swept upward so that every entry read already holds the
+    quotient.
+    """
+    if a == 0:
+        for row in rows:
+            for t in range(e, len(row)):
+                row[t] += row[t - e]
+        return
+    for m in range(a, len(rows)):
+        dst, src = rows[m], rows[m - a]
+        dst[e:] = [u + v for u, v in zip(dst[e:], src)]
 
 
 def slot_bits_for(a_rows: list[list[int]], b_rows: list[list[int]]) -> int:

@@ -7,16 +7,22 @@ Each report's line is written to stdout as soon as the report is computed,
 in run order (group by group, one (flavor, k, d) at a time, each check over
 the group's tuples), then the closure line and the summary.  The --out JSON
 is the canonical record: every report in sorted order, written when the run
-ends.  The --csv-dir tables are written group by group during the run.  If
-stdout's reader goes away (`| head`), the run still finishes, writes --out
-and --csv-dir, and exits with its usual code.
+ends, under a temporary name beside --out that then replaces it, so a run
+that stops early leaves a report already at --out as it was.  The --csv-dir
+tables are written group by group during the run.  If stdout's reader goes
+away (`| head`), the run still finishes, writes --out and --csv-dir, and
+exits with its usual code.
 
 Exit codes: 0 all checks passed (or were skipped), 1 at least one check
 failed, 2 configuration error, or an output (--out, --csv-dir, stdout) that
 cannot be written, before or during the run ("cannot write output: ...",
 no traceback).  The arguments are parsed and checked, and the outputs
 opened, before any numerical layer is imported: --help and a configuration
-error load only the config module.
+error load only the config module.  The run then loads only the layers its
+checks use (see harness): recurrences and identities need counting and
+_packing alone, and series too once an identities group reaches a
+product-defined congruence counter; gf-consistency, summand-eqs, gf-match,
+product-eval and --csv-dir load gseries and series as well.
 """
 
 from __future__ import annotations
@@ -108,18 +114,31 @@ def config_from_args(args) -> SuiteConfig:
     )
 
 
+def partial_path(out: str) -> str:
+    """The temporary name that the --out report is written under: beside the
+    file it replaces (through any symlink), so that one rename puts it there."""
+    return f"{os.path.realpath(out)}.{os.getpid()}.partial"
+
+
 def open_outputs(args):
-    """Create the --csv-dir directory and open the --out file for writing.
+    """Create the --csv-dir directory and open the file the --out report is
+    written to.
 
     Done before any computation, so that an unusable path (a directory or a
     missing parent for --out, a regular file on the way for --csv-dir) is a
-    configuration error and not a traceback after the whole run.  Returns
-    the open --out file, or None.
+    configuration error and not a traceback after the whole run.  Where
+    --out is a regular file, or nothing yet, the file opened is
+    partial_path(--out), which main renames over --out once the report is
+    written and removes if the run stops first; anything else there (a
+    device, a pipe) is written in place.  Returns the open file, or None.
     """
     try:
         if args.csv_dir:
             Path(args.csv_dir).mkdir(parents=True, exist_ok=True)
-        return open(args.out, "w") if args.out else None
+        if not args.out:
+            return None
+        in_place = os.path.exists(args.out) and not os.path.isfile(args.out)
+        return open(args.out if in_place else partial_path(args.out), "w")
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
 
@@ -184,6 +203,8 @@ def main(argv: Optional[list] = None) -> int:
             )
             if out is not None:
                 out.write(harness.reports_to_json(reports) + "\n")
+        if args.out and os.path.exists(partial_path(args.out)):
+            os.replace(partial_path(args.out), os.path.realpath(args.out))
         if args.csv_dir:
             # a counts and a series file per tuple of the grid
             _write_line(f"wrote {2 * len(list(_grid(config)))} CSV files to {args.csv_dir}")
@@ -192,6 +213,11 @@ def main(argv: Optional[list] = None) -> int:
         # directory) is not a failed check
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # a report that never replaced --out is dropped, and --out kept
+        if args.out:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial_path(args.out))
     return harness.exit_code(reports)
 
 

@@ -27,6 +27,17 @@ p-bar(n) counts (partition_counts), is held at its deepest build: it gives
 the bound behind the DP slot width and is the (q; q)_inf quotient of the
 x = 1 product forms (gseries).
 
+The applicability conditions are defined here once, in plain arithmetic:
+where the identification of the constructed series is claimed
+(identification_conditions, identification_grounded), where the main
+identities are skipped (identities_skip_reason), and the companion
+combination of congruence-side series (_companion_terms).  gseries imports
+them for gf-match and the x = 1 forms.
+
+This module needs only _packing and config, so the identities check runs
+without the series ring: series is imported by the product-defined branch
+of congruence_series alone, and csv by the CSV export.
+
 All functions are pure.  The memo tables are module-level dicts under one
 policy: _deepest holds each entry as (bounds, value) at the deepest bounds
 asked for.  A memo keyed by a (k, d, flavor) group is made by _group_memo,
@@ -38,14 +49,12 @@ concurrent use is safe: a memo that a concurrent run empties costs a rebuild.
 
 from __future__ import annotations
 
-import csv
 import functools
 import threading
 from typing import Iterator, NamedTuple, Optional
 
-from ._packing import read_slots
+from ._packing import DomainError, div_binomial, mul_binomial, read_slots
 from .config import OVER, REGULAR
-from .series import PowerSeries, DomainError, div_binomial, mul_binomial, triple_product
 
 
 def modulus(k: int, d: int, flavor: str) -> int:
@@ -523,50 +532,53 @@ def count_mult_brute(cp: CountParams, m: Optional[int], n: int) -> int:
 # congruence-side counters
 # ---------------------------------------------------------------------------
 
-# (k, d, c, flavor) -> (series, product_defined)
+# (k, d, c, flavor) -> ((n,), (row, product_defined))
 _cong_cache = _group_memo()
 
 
 def congruence_series(
     k: int, d: int, c: int, flavor: str, trunc_order: int
-) -> tuple[PowerSeries, bool]:
-    """Generating function of the congruence-side counter with lower index c.
+) -> tuple[list[int], bool]:
+    """Generating function of the congruence-side counter with lower index c,
+    as its coefficient row through q^trunc_order.
 
     Regular flavor, modulus M = 2k+2-d: partitions into parts not congruent
     to 0 or +-c mod M, counted by direct enumeration; if 2c = M the counter
     has no combinatorial description and is *defined* as the coefficient of
-    the triple product (q^c, q^(M-c), q^M; q^M)_inf / (q; q)_inf.
+    the triple product (q^c, q^(M-c), q^M; q^M)_inf / (q; q)_inf.  That
+    branch alone reads the series layer (series.triple_product).
 
     Over flavor, modulus 2k+1-d: non-overlined parts avoid 0, +-c mod the
     modulus and overlined parts are free; if 2c equals the modulus, all parts
     avoid multiples of k + (1-d)/2 instead (d must be odd there).
 
-    Returns (series, product_defined).
+    Returns (row, product_defined), row[n] the counter's value at n.
     """
     n = trunc_order
     M = modulus(k, d, flavor)
     every = range(1, n + 1)
     if 2 * c == M:
         if flavor == REGULAR:
-            row = _parts_row(every, (), n, list(triple_product(c, M, n).coeffs))
-            return PowerSeries(row, n), True
+            from .series import triple_product
+
+            return _parts_row(every, (), n, list(triple_product(c, M, n).coeffs)), True
         if d % 2 == 0:
             raise DomainError(
                 "exceptional over case needs k + (1-d)/2 integral, so d must be odd"
             )
         kappa = k + (1 - d) // 2
         allowed = [v for v in every if v % kappa != 0]
-        return PowerSeries(_parts_row(allowed, allowed, n), n), False
+        return _parts_row(allowed, allowed, n), False
     r = c % M
     bad = {0, r, (M - r) % M}
     allowed = [v for v in every if v % M not in bad]
-    return PowerSeries(_parts_row(allowed, every if flavor == OVER else (), n), n), False
+    return _parts_row(allowed, every if flavor == OVER else (), n), False
 
 
 def cached_congruence_series(k: int, d: int, c: int, flavor: str, n: int):
     """congruence_series(k, d, c, flavor, ...) exact through q^n or deeper,
-    as (series, product_defined), from _cong_cache.  A miss builds through
-    q^max(n, 16) and replaces the held series."""
+    as (row, product_defined), from _cong_cache.  A miss builds through
+    q^max(n, 16) and replaces the held row."""
     build = functools.partial(congruence_series, k, d, c, flavor)
     return _deepest(_cong_cache, (k, d, c, flavor), (max(n, 16),), build)
 
@@ -575,7 +587,75 @@ def count_cong(cp: CountParams, n: int) -> int:
     """Congruence-side counter value at n (flavor-aware)."""
     if n < 0:
         return 0
-    return cached_congruence_series(cp.k, cp.d, cp.a, cp.flavor, n)[0].coefficient(n)
+    return cached_congruence_series(cp.k, cp.d, cp.a, cp.flavor, n)[0][n]
+
+
+# ---------------------------------------------------------------------------
+# applicability: where the identification and the identities are claimed
+# ---------------------------------------------------------------------------
+
+
+def identification_conditions(k, a, d, s, flavor) -> tuple[bool, str]:
+    """The stated conditions under which the constructed series is claimed
+    to equal the enumerative generating function."""
+    if flavor == REGULAR:
+        if (2 * (a + s)) % d != 0:
+            return False, f"2(a+s) = {2 * (a + s)} not divisible by d = {d}"
+        if (2 * (k + 1)) % d != 0:
+            return False, f"2(k+1) = {2 * (k + 1)} not divisible by d = {d}"
+        return True, ""
+    if d not in (1, 2):
+        return False, f"over flavor needs d in {{1, 2}}, got d = {d}"
+    return True, ""
+
+
+def identities_skip_reason(k, a, d, s, flavor) -> Optional[str]:
+    """Why the main identities do not apply at a tuple, or None where the
+    identification conditions hold.  The identities report names the
+    condition without the offending value; the wording is canonical output.
+    Their side condition on 2(a+s) is the harness's, since --alt-condition
+    selects it."""
+    if identification_conditions(k, a, d, s, flavor)[0]:
+        return None
+    if flavor == REGULAR:
+        return f"2(a+s) or 2(k+1) not divisible by d = {d}"
+    return "over flavor needs d in {1, 2}"
+
+
+def identification_grounded(k, a, d, s, flavor) -> bool:
+    """True when the determining chain of functional equations never
+    references a lower index below zero.  Chains step (a, s) -> (a-1, s+1)
+    with the index sum non-increasing, so only the initial sum matters.
+    The lower indices referenced are those of _equation_terms; the
+    over flavor also uses the k-a-s index, hence the tighter bound.  Tuples
+    failing this are exactly where the identification breaks.
+
+    For a regular tuple, "identified and not grounded" holds exactly when
+    d | 2(k+1) and 2(a+s) = 2k+2+d.  Indeed t = a+s-k-1 then satisfies
+    0 < t <= d-2 (a <= k, s <= d-1) and d | 2t, so 2t = d; conversely
+    2(a+s) = 2k+2+d gives d | 2(a+s) and a+s > k+1.  So the regular tuples
+    that fail this are the ones the identities' verbatim side condition
+    2(a+s) != 2k+2+d excludes.
+    """
+    if flavor == REGULAR:
+        return a + s <= k + 1
+    return a + s <= k
+
+
+def _companion_terms(a: int, d: int, s: int, reflected: bool) -> list[tuple[int, int, int]]:
+    """The companion combination (1 - q^(d-s)) F(a+s) + (q^e1 - q^e2) F(c) as
+    terms (sign, e, c), each standing for sign q^e F(c).  (e1, e2, c) is
+    (d-s, d, a+s-d) for the shifted argument and (a+s, a, d-a-s) for the
+    reflected one.
+
+    F is the congruence-side series in the companion identities, and the
+    triple product or the bilateral theta sum in the x = 1 product forms
+    (gseries.x_one_product_forms).  Terms at index c = 0 are left out: the triple product and the theta sum
+    vanish there, and the identities at d = a+s have no such term.
+    """
+    e1, e2, c = (a + s, a, d - a - s) if reflected else (d - s, d, a + s - d)
+    terms = [(1, 0, a + s), (-1, d - s, a + s), (1, e1, c), (-1, e2, c)]
+    return [term for term in terms if term[2] != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +791,8 @@ def min_admissible_weight(k: int, a: int, flavor: str, parts: int, cap: int = 10
 
 def write_count_table_csv(fileobj, cp: CountParams, m_max: int, n_max: int) -> int:
     """Write nonzero counter values as (k, a, d, s, flavor, m, n, count) rows."""
+    import csv
+
     writer = csv.writer(fileobj)
     writer.writerow(["k", "a", "d", "s", "flavor", "m", "n", "count"])
     table = count_table(cp, max(m_max, n_max))

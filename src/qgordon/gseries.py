@@ -54,13 +54,19 @@ import functools
 from typing import NamedTuple, Optional
 
 from . import _packing
-from .config import OVER, REGULAR
+from .config import OVER
+# the applicability conditions and the companion terms are defined in counting,
+# next to the counters they select; they stay importable from here
 from .counting import (
     CountParams,
+    _companion_terms,
     _deepest,
     _equation_terms,
     _group_memo,
     count_table,
+    identification_conditions,
+    identification_grounded,
+    identities_skip_reason,
     min_admissible_weight,
     modulus,
     partition_counts,
@@ -630,76 +636,8 @@ def verify_gf_functional_equation(
 
 
 # ---------------------------------------------------------------------------
-# identification (constructed vs enumerated) and its applicability
-# ---------------------------------------------------------------------------
-
-
-def identification_conditions(k, a, d, s, flavor) -> tuple[bool, str]:
-    """The stated conditions under which the constructed series is claimed
-    to equal the enumerative generating function."""
-    if flavor == REGULAR:
-        if (2 * (a + s)) % d != 0:
-            return False, f"2(a+s) = {2 * (a + s)} not divisible by d = {d}"
-        if (2 * (k + 1)) % d != 0:
-            return False, f"2(k+1) = {2 * (k + 1)} not divisible by d = {d}"
-        return True, ""
-    if d not in (1, 2):
-        return False, f"over flavor needs d in {{1, 2}}, got d = {d}"
-    return True, ""
-
-
-def identities_skip_reason(k, a, d, s, flavor) -> Optional[str]:
-    """Why the main identities do not apply at a tuple, or None where the
-    identification conditions hold.  The identities report names the
-    condition without the offending value; the wording is canonical output.
-    Their side condition on 2(a+s) is the harness's, since --alt-condition
-    selects it."""
-    if identification_conditions(k, a, d, s, flavor)[0]:
-        return None
-    if flavor == REGULAR:
-        return f"2(a+s) or 2(k+1) not divisible by d = {d}"
-    return "over flavor needs d in {1, 2}"
-
-
-def identification_grounded(k, a, d, s, flavor) -> bool:
-    """True when the determining chain of functional equations never
-    references a lower index below zero.  Chains step (a, s) -> (a-1, s+1)
-    with the index sum non-increasing, so only the initial sum matters.
-    The lower indices referenced are those of counting._equation_terms; the
-    over flavor also uses the k-a-s index, hence the tighter bound.  Tuples
-    failing this are exactly where the identification breaks.
-
-    For a regular tuple, "identified and not grounded" holds exactly when
-    d | 2(k+1) and 2(a+s) = 2k+2+d.  Indeed t = a+s-k-1 then satisfies
-    0 < t <= d-2 (a <= k, s <= d-1) and d | 2t, so 2t = d; conversely
-    2(a+s) = 2k+2+d gives d | 2(a+s) and a+s > k+1.  So the regular tuples
-    that fail this are the ones the identities' verbatim side condition
-    2(a+s) != 2k+2+d excludes.
-    """
-    if flavor == REGULAR:
-        return a + s <= k + 1
-    return a + s <= k
-
-
-# ---------------------------------------------------------------------------
 # x = 1 specialization versus the triple products
 # ---------------------------------------------------------------------------
-
-
-def _companion_terms(a: int, d: int, s: int, reflected: bool) -> list[tuple[int, int, int]]:
-    """The companion combination (1 - q^(d-s)) F(a+s) + (q^e1 - q^e2) F(c) as
-    terms (sign, e, c), each standing for sign q^e F(c).  (e1, e2, c) is
-    (d-s, d, a+s-d) for the shifted argument and (a+s, a, d-a-s) for the
-    reflected one.
-
-    F is the congruence-side series in the companion identities, and the
-    triple product or the bilateral theta sum in the x = 1 product forms.
-    Terms at index c = 0 are left out: the triple product and the theta sum
-    vanish there, and the identities at d = a+s have no such term.
-    """
-    e1, e2, c = (a + s, a, d - a - s) if reflected else (d - s, d, a + s - d)
-    terms = [(1, 0, a + s), (-1, d - s, a + s), (1, e1, c), (-1, e2, c)]
-    return [term for term in terms if term[2] != 0]
 
 
 def x_one_product_forms(k, a, d, s, flavor, trunc_order) -> list[tuple[str, BiSeries]]:

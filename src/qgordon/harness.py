@@ -30,20 +30,27 @@ Every record the drivers read or make is a NamedTuple, built once: the
 reports and the configuration here, and gseries' SummandSweep, DisplayCheck
 and XOneCheck.  Each is immutable and equal to the plain tuple of its
 fields, and importing the package needs no dataclasses.
+
+Each check loads only the layers it uses.  Importing this module loads
+counting (with _packing and config) and nothing else, which is all that
+recurrences and identities need; series comes in only when an identities
+group reaches a product-defined congruence counter (2c = M, regular
+flavor).  gf-consistency, summand-eqs, gf-match and product-eval, and the
+CSV export, import gseries (and so series) when they first run, and look up
+its functions on the module at each call.  json is imported by
+reports_to_json.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional
 
-from . import counting, gseries
+from . import counting
 # ConfigError and _grid are not used here: they are kept importable from harness
 from .config import CHECK_IDS, OVER, REGULAR, ConfigError, SuiteConfig, _groups, _grid
 from .counting import CountParams
-from .series import write_coefficients_csv
 
 
 class _ReportFields(NamedTuple):
@@ -138,6 +145,8 @@ def check_recurrences(cp: CountParams, m_max: int, n_max: int) -> CheckReport:
 
 def check_gf_consistency(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
     """Functional-equation route against the enumeration route (always applies)."""
+    from . import gseries
+
     params = _tuple_params(k, a, d, s, flavor, x_order, trunc_order)
     rec = gseries.recurrence_gf(k, a, d, s, flavor, x_order, trunc_order)
     enum = gseries.enumerated_gf(k, a, d, s, flavor, x_order, trunc_order)
@@ -146,6 +155,8 @@ def check_gf_consistency(k, a, d, s, flavor, x_order, trunc_order) -> CheckRepor
 
 def check_summand_equations(k, d, flavor, n_max, x_order) -> CheckReport:
     """All summand recurrence displays for one (k, d, flavor)."""
+    from . import gseries
+
     sweep = gseries.verify_summand_recurrences(k, d, flavor, n_max, x_order)
     params = {
         "k": k,
@@ -173,12 +184,14 @@ def check_summand_equations(k, d, flavor, n_max, x_order) -> CheckReport:
 
 def check_gf_match(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
     """Constructed series against the enumerative generating function."""
+    from . import gseries
+
     params = _tuple_params(k, a, d, s, flavor, x_order, trunc_order)
-    applies, why = gseries.identification_conditions(k, a, d, s, flavor)
+    applies, why = counting.identification_conditions(k, a, d, s, flavor)
     if not applies:
         return CheckReport("gf-match", params, "skipped", reason=why)
     notes = []
-    if not gseries.identification_grounded(k, a, d, s, flavor):
+    if not counting.identification_grounded(k, a, d, s, flavor):
         notes.append(
             "functional-equation chain leaves the index range (a+s too large); "
             "identification expected to fail"
@@ -201,6 +214,8 @@ def check_product_eval(k, a, d, s, flavor, x_order, trunc_order) -> CheckReport:
     Skipped where the provable comparison bound is negative (x_order below
     the summands' exponent deficit), since then nothing is compared.
     """
+    from . import gseries
+
     params = _tuple_params(k, a, d, s, flavor, x_order, trunc_order)
     chk = gseries.x_one_check(k, a, d, s, flavor, x_order, trunc_order)
     if chk.bound < 0:
@@ -236,7 +251,7 @@ def check_main_identity(
 
     s = 0: plain equality of the congruence-side and multiplicity-side
     counters.  s != 0: the companion shape selected by comparing d with
-    a + s, whose congruence side is gseries._companion_terms (shifted
+    a + s, whose congruence side is counting._companion_terms (shifted
     argument, reflected when d > a+s) against b(n) - b(n-d).  The stated
     side condition is evaluated verbatim as 2(a+s) != 2k+2+d;
     --alt-condition switches to the exceptional-product guard
@@ -246,7 +261,7 @@ def check_main_identity(
     params = _tuple_params(k, a, d, s, flavor, None, n_max)
     notes = [f"side condition evaluated: {'corrected' if alt_condition else 'verbatim'}"]
 
-    reason = gseries.identities_skip_reason(k, a, d, s, flavor)
+    reason = counting.identities_skip_reason(k, a, d, s, flavor)
     if reason is not None:
         return CheckReport("identities", params, "skipped", reason=reason)
     if flavor == REGULAR and s != 0:
@@ -272,13 +287,13 @@ def check_main_identity(
     else:
         relation = "<" if d < a + s else "=" if d == a + s else ">"
         shape = f"companion, d {relation} a+s"
-        lhs_terms = gseries._companion_terms(a, d, s, reflected=d > a + s)
+        lhs_terms = counting._companion_terms(a, d, s, reflected=d > a + s)
         rhs_terms = [(1, 0, b), (-1, d, b)]
     notes.append(f"shape: {shape}")
     rows = {}
     for c in dict.fromkeys(c for _, _, c in lhs_terms):
-        series, special = counting.cached_congruence_series(k, d, c, flavor, n_max)
-        rows[c] = series.coeffs[: n_max + 1]
+        row, special = counting.cached_congruence_series(k, d, c, flavor, n_max)
+        rows[c] = row[: n_max + 1]
         if special:
             notes.append(f"congruence counter at index {c} is product-defined (2c = modulus)")
     lhs = side((sign, e, rows[c]) for sign, e, c in lhs_terms)
@@ -363,6 +378,9 @@ def run_suite(
                 report = drivers[check_id](*t)
                 add(report._replace(runtime_ms=int((perf_counter() - start) * 1000)))
         if csv_dir is not None:
+            from . import gseries
+            from .series import write_coefficients_csv
+
             for k, a, d, s, flavor in group:
                 stem = f"k{k}_a{a}_d{d}_s{s}_{flavor}"
                 with open(csv_dir / f"counts_{stem}.csv", "w", newline="") as fh:
@@ -416,6 +434,8 @@ def exit_code(reports: list[CheckReport]) -> int:
 
 
 def reports_to_json(reports: list[CheckReport], include_runtime: bool = True) -> str:
+    import json
+
     return json.dumps(
         [r.to_dict(include_runtime) for r in reports], indent=2, sort_keys=False
     )

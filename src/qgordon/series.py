@@ -23,7 +23,9 @@ raises TruncationMismatch rather than silently re-truncating.
 Every value is immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
 The row primitives mul_binomial and div_binomial are the exception: they
-update a caller's own list-of-rows table in place.
+update a caller's own list-of-rows table in place.  They and DomainError
+are defined in _packing, so that the counters can use them without this
+module, and are importable from here as before.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ import csv
 from typing import Iterable, NamedTuple
 
 from . import _packing
+# defined in _packing, the stdlib-only bottom layer, and importable from here
+from ._packing import DomainError, div_binomial, mul_binomial
 
 
 class TruncationMismatch(ValueError):
     """Operands carry different truncation windows (configuration error)."""
-
-
-class DomainError(ValueError):
-    """Input outside the mathematical domain of the operation."""
 
 
 class OrdinarinessError(ValueError):
@@ -393,36 +393,6 @@ class XOneResult(NamedTuple):
 
     series: PowerSeries
     exact_order: int
-
-
-def mul_binomial(rows: list[list[int]], a: int, e: int, c: int) -> None:
-    """Multiply the table by 1 + c x^a q^e in place.
-
-    rows[m][t] is the coefficient of x^m q^t.  Row m gains c q^e times row
-    m - a, with the rows swept from the top down so that every row read
-    still holds the old product (at a = 0 each row is rebuilt from its old
-    self in one pass).  A factor beyond the window changes nothing.
-    """
-    for m in range(len(rows) - 1, a - 1, -1):
-        dst, src = rows[m], rows[m - a]
-        dst[e:] = [u + c * v for u, v in zip(dst[e:], src)]
-
-
-def div_binomial(rows: list[list[int]], a: int, e: int) -> None:
-    """Divide the table by 1 - x^a q^e in place, (a, e) != (0, 0).
-
-    Row m gains q^e times row m - a, with the rows (and, at a = 0, the
-    q-exponents) swept upward so that every entry read already holds the
-    quotient.
-    """
-    if a == 0:
-        for row in rows:
-            for t in range(e, len(row)):
-                row[t] += row[t - e]
-        return
-    for m in range(a, len(rows)):
-        dst, src = rows[m], rows[m - a]
-        dst[e:] = [u + v for u, v in zip(dst[e:], src)]
 
 
 def poch_finite(

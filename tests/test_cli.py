@@ -199,6 +199,33 @@ def test_cli_failed_out_write_exits_2(monkeypatch, capsys):
     assert captured.out.splitlines()[-1] == "4 passed, 0 failed, 0 skipped"
 
 
+def test_cli_failed_write_keeps_the_report_at_out(tmp_path, capsys):
+    # the --csv-dir collision stops the run after --out was opened: the report
+    # already at --out survives, and no temporary file is left beside it
+    csv_dir, out = tmp_path / "csv", tmp_path / "r.json"
+    (csv_dir / "counts_k2_a1_d1_s0_regular.csv").mkdir(parents=True)
+    out.write_text("earlier report\n")
+    grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "3"]
+    assert main(grid + ["--csv-dir", str(csv_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+    assert out.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["csv", "r.json"]
+
+
+def test_cli_out_is_replaced_when_the_run_ends(tmp_path, capsys):
+    # the report is written beside --out and renamed over it: through a
+    # symlink, the file it points to gets the report
+    out, link = tmp_path / "r.json", tmp_path / "link.json"
+    out.write_text("earlier report\n")
+    link.symlink_to(out)
+    grid = ["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "3"]
+    assert main(grid + ["--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert capsys.readouterr().out.splitlines()[-1] == "4 passed, 0 failed, 0 skipped"
+    assert [r["check_id"] for r in json.loads(out.read_text())] == ["identities"] * 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "r.json"]
+
+
 def test_cli_csv_name_taken_by_a_directory_exits_2(tmp_path, capsys):
     csv_dir = tmp_path / "csv"
     (csv_dir / "counts_k2_a1_d1_s0_regular.csv").mkdir(parents=True)
@@ -485,24 +512,48 @@ def added_modules(load):
     return set(added.split()), printed, run.stderr
 
 
+# what a run loads for checks that read the counters alone
+COUNTERS = {"qgordon", "qgordon.config", "qgordon.harness", "qgordon.counting", "qgordon._packing"}
+
+
 @pytest.mark.parametrize(
     "load, package",
     [
         ("import qgordon.cli", {"qgordon", "qgordon.config", "qgordon.cli"}),
         # python -m qgordon.cli --help
         (run_module_child(["--help"]), {"qgordon", "qgordon.config"}),
-        # a real run needs every layer
+        # identities away from 2c = M run on the counters alone
         (
             run_module_child(["--checks", "identities", "--k", "2", "--d", "1", "--trunc-n", "5"]),
-            {"qgordon", "qgordon.config", "qgordon.harness"} | LAYERS,
+            COUNTERS,
+        ),
+        # 2c = M (regular): the product-defined counter reads triple_product
+        (
+            run_module_child(
+                ["--checks", "identities", "--k", "2", "--d", "2", "--flavor", "regular",
+                 "--trunc-n", "5"]
+            ),
+            COUNTERS | {"qgordon.series"},
+        ),
+        (
+            run_module_child(["--checks", "recurrences", "--k", "2", "--d", "1", "--trunc-n", "5"]),
+            COUNTERS,
+        ),
+        # gf-match builds the constructed series: every layer
+        (
+            run_module_child(
+                ["--checks", "gf-match", "--k", "2", "--d", "1", "--trunc-n", "5", "--trunc-x", "2"]
+            ),
+            COUNTERS | LAYERS,
         ),
     ],
-    ids=["import", "help", "run"],
+    ids=["import", "help", "run", "run-2c-equals-m", "run-recurrences", "run-gf-match"],
 )
 def test_cli_import_leaves_out_dataclasses_and_inspect(load, package):
     added = added_modules(load)[0]
     assert {m for m in added if m.split(".")[0] == "qgordon"} == package
-    assert not {"dataclasses", "inspect"} & added
+    # json comes with reports_to_json, which a run without --out never calls
+    assert not {"dataclasses", "inspect", "json"} & added
 
 
 @pytest.mark.parametrize(

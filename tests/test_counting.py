@@ -454,9 +454,9 @@ def test_x_one_grid_builds_one_table_per_group(monkeypatch):
 def test_weight_only_dp_is_exact_past_64_bits():
     # the d = 1 over identity at k = a = 3: its counts first pass 2^64 at n = 389
     totals = count_mult_totals(CountParams(3, 3, 1, 0, OVER), 400)
-    series, special = congruence_series(3, 1, 3, OVER, 400)
+    row, special = congruence_series(3, 1, 3, OVER, 400)
     assert not special
-    assert totals == list(series.coeffs)
+    assert totals == row
     assert next(n for n, c in enumerate(totals) if c >= 1 << 64) == 389
     assert count_mult_totals(CountParams(3, 3, 1, 0, OVER), 50) == totals[:51]
 
@@ -631,10 +631,10 @@ def test_congruence_series_matches_products_regular():
             for a in range(1, k + 1):
                 if 2 * a == modulus:
                     continue
-                series, special = congruence_series(k, d, a, REGULAR, n)
+                row, special = congruence_series(k, d, a, REGULAR, n)
                 assert not special
                 product = triple_product(a, modulus, n) * inv_euler
-                assert series == product, (k, d, a)
+                assert row == list(product.coeffs), (k, d, a)
 
 
 def test_congruence_series_matches_products_over():
@@ -647,10 +647,10 @@ def test_congruence_series_matches_products_over():
             for a in range(1, k + 1):
                 if 2 * a == modulus:
                     continue
-                series, special = congruence_series(k, d, a, OVER, n)
+                row, special = congruence_series(k, d, a, OVER, n)
                 assert not special
                 product = lined_all * triple_product(a, modulus, n) * inv_euler
-                assert series == product, (k, d, a)
+                assert row == list(product.coeffs), (k, d, a)
 
 
 def test_congruence_series_over_exceptional_euler_case():
@@ -658,23 +658,23 @@ def test_congruence_series_over_exceptional_euler_case():
     # form follows by Euler's identity
     n = 24
     for k in (2, 3, 4):
-        series, special = congruence_series(k, 1, k, OVER, n)
+        row, special = congruence_series(k, 1, k, OVER, n)
         assert not special
         product = (
             q_poch_inf(-1, 1, 1, n)
             * triple_product(k, 2 * k, n)
             * q_poch_inf(1, 1, 1, n).invert_unit()
         )
-        assert series == product, k
+        assert row == list(product.coeffs), k
 
 
 def test_congruence_series_exceptional_regular_is_product_defined():
     # 2a = 2k+2-d: no combinatorial description; coefficients come from the
     # triple product directly
-    series, special = congruence_series(3, 2, 3, REGULAR, 20)
+    row, special = congruence_series(3, 2, 3, REGULAR, 20)
     assert special
     expected = triple_product(3, 6, 20) * q_poch_inf(1, 1, 1, 20).invert_unit()
-    assert series == expected
+    assert row == list(expected.coeffs)
 
 
 def test_congruence_series_uses_no_ring_product(monkeypatch):
@@ -693,9 +693,9 @@ def test_congruence_series_uses_no_ring_product(monkeypatch):
         (3, 1, 3, OVER, False),  # 2c = 2k+1-d: parts avoid multiples of k
     ]
     for k, d, c, flavor, special in cases:
-        series, got_special = congruence_series(k, d, c, flavor, 40)
+        row, got_special = congruence_series(k, d, c, flavor, 40)
         assert got_special == special
-        assert series.coefficient(0) == 1
+        assert row[0] == 1
 
 
 def test_congruence_over_exceptional_needs_odd_d():

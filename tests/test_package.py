@@ -74,3 +74,12 @@ def test_one_name_loads_only_its_layers():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["qgordon", "qgordon._packing", "qgordon.series"]
+
+
+def test_domain_error_and_row_primitives_have_one_definition():
+    # defined in _packing, the bottom layer, and importable from series and counting
+    from qgordon import _packing
+
+    assert series.DomainError is counting.DomainError is _packing.DomainError
+    assert series.mul_binomial is counting.mul_binomial is _packing.mul_binomial
+    assert series.div_binomial is counting.div_binomial is _packing.div_binomial
