@@ -186,6 +186,7 @@ def main(argv: Optional[list] = None) -> int:
     # the numerical layers load only once the configuration is known to be good
     from . import harness
 
+    partial = partial_path(args.out) if args.out else None
     try:
         with out or contextlib.nullcontext():
             reports = harness.run_suite(
@@ -203,8 +204,8 @@ def main(argv: Optional[list] = None) -> int:
             )
             if out is not None:
                 out.write(harness.reports_to_json(reports) + "\n")
-        if args.out and os.path.exists(partial_path(args.out)):
-            os.replace(partial_path(args.out), os.path.realpath(args.out))
+        if partial and os.path.exists(partial):
+            os.replace(partial, os.path.realpath(args.out))
         if args.csv_dir:
             # a counts and a series file per tuple of the grid
             _write_line(f"wrote {2 * len(list(_grid(config)))} CSV files to {args.csv_dir}")
@@ -215,9 +216,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     finally:
         # a report that never replaced --out is dropped, and --out kept
-        if args.out:
+        if partial:
             with contextlib.suppress(FileNotFoundError):
-                os.remove(partial_path(args.out))
+                os.remove(partial)
     return harness.exit_code(reports)
 
 
